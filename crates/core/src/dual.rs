@@ -7,7 +7,9 @@
 //! procedure (`DualSim` in Fig. 3) inside every ball.
 
 use crate::relation::MatchRelation;
-use crate::simulation::{initial_candidates, refine, refine_with, RefineMode, RefineStrategy};
+use crate::simulation::{
+    dual_candidates, initial_candidates, refine, refine_with, RefineMode, RefineStrategy,
+};
 use ssim_graph::{AdjView, Graph, GraphView, NodeId, Pattern};
 
 /// Computes the maximum dual-simulation relation of `pattern` over `view`
@@ -15,13 +17,7 @@ use ssim_graph::{AdjView, Graph, GraphView, NodeId, Pattern};
 ///
 /// Returns `None` when the view does not match the pattern via dual simulation.
 pub fn dual_simulation_view<V: AdjView>(pattern: &Pattern, view: &V) -> Option<MatchRelation> {
-    let relation = refine(
-        pattern,
-        view,
-        RefineMode::ChildrenAndParents,
-        initial_candidates(pattern, view),
-    );
-    relation.filter(MatchRelation::is_total)
+    global_dual_simulation(pattern, view, RefineStrategy::Worklist)
 }
 
 /// Computes the maximum dual-simulation relation over the whole data graph.
@@ -29,22 +25,35 @@ pub fn dual_simulation(pattern: &Pattern, data: &Graph) -> Option<MatchRelation>
     dual_simulation_view(pattern, &GraphView::full(data))
 }
 
-/// [`dual_simulation`] with an explicit [`RefineStrategy`] — `NaiveFixpoint` is the seed's
-/// re-scan loop, kept as the equivalence oracle for tests and ablation benches.
+/// [`dual_simulation`] with an explicit [`RefineStrategy`]. `Worklist` refines from the
+/// neighbourhood-seeded [`dual_candidates`]; `NaiveFixpoint` is the seed's re-scan loop
+/// over the label-class [`initial_candidates`], kept as the equivalence oracle for tests
+/// and ablation benches.
 pub fn dual_simulation_with(
     pattern: &Pattern,
     data: &Graph,
     strategy: RefineStrategy,
 ) -> Option<MatchRelation> {
-    let view = GraphView::full(data);
-    let relation = refine_with(
-        pattern,
-        &view,
-        RefineMode::ChildrenAndParents,
-        initial_candidates(pattern, &view),
-        strategy,
-    );
-    relation.filter(MatchRelation::is_total)
+    global_dual_simulation(pattern, &GraphView::full(data), strategy)
+}
+
+/// The global dual-simulation fixpoint behind [`dual_simulation_with`] and
+/// [`crate::incremental::global_fixpoint`], generic over the view. Both starts contain the
+/// maximum relation, so both strategies reach the same result; a non-total start cannot
+/// refine to a total relation and is rejected before refining.
+pub(crate) fn global_dual_simulation<V: AdjView>(
+    pattern: &Pattern,
+    view: &V,
+    strategy: RefineStrategy,
+) -> Option<MatchRelation> {
+    let start = match strategy {
+        RefineStrategy::Worklist => dual_candidates(pattern, view),
+        RefineStrategy::NaiveFixpoint => initial_candidates(pattern, view),
+    };
+    if !start.is_total() {
+        return None;
+    }
+    refine_dual_with(pattern, view, start, strategy)
 }
 
 /// Returns `true` when `Q ≺D G`.
@@ -99,14 +108,14 @@ pub fn is_valid_dual_simulation(pattern: &Pattern, data: &Graph, relation: &Matc
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::simulation::graph_simulation;
     use ssim_graph::Label;
 
     /// The Q2/G2 example of the paper (Example 2(4)): a book recommended by both a student
     /// and a teacher. Simulation keeps book1 (student-only); dual simulation removes it.
-    fn book_example() -> (Pattern, Graph) {
+    pub(crate) fn book_example() -> (Pattern, Graph) {
         let pattern = Pattern::from_edges(
             vec![
                 Label(0), /*ST*/

@@ -42,11 +42,12 @@
 //! with the other four engine axes pinned and composed.
 
 use crate::ball::BallSubstrate;
+use crate::dual::global_dual_simulation;
 use crate::dual_filter::refine_suspects;
 use crate::match_graph::PerfectSubgraph;
 use crate::minimize::minimize_pattern;
 use crate::relation::MatchRelation;
-use crate::simulation::{initial_candidates, refine_with, RefineMode, RefineStrategy};
+use crate::simulation::RefineStrategy;
 use crate::strong::{
     distinct_indices, match_with_prepared, match_with_prepared_counted, translate_to_outer,
     MatchConfig, MatchOutput, MatchStats,
@@ -90,6 +91,10 @@ pub struct PreparedGlobal<'a> {
 /// Computes the exact greatest dual-simulation fixpoint of `pattern` over `data`, with
 /// the non-total case normalised to the literal empty relation.
 ///
+/// Under [`RefineStrategy::Worklist`] the refinement starts from the neighbourhood-seeded
+/// [`crate::simulation::dual_candidates`], under `NaiveFixpoint` from the label classes;
+/// both contain the fixpoint, so both reach it exactly.
+///
 /// `dual_simulation_with` discards non-total results, and the worklist engine exits
 /// early on an emptied candidate set with a partially refined relation — either would
 /// poison incremental maintenance, which needs the true fixpoint as its base. Patterns
@@ -105,20 +110,8 @@ pub fn global_fixpoint<V: AdjView>(
     data: &V,
     strategy: RefineStrategy,
 ) -> MatchRelation {
-    let start = initial_candidates(pattern, data);
-    let rel = refine_with(
-        pattern,
-        data,
-        RefineMode::ChildrenAndParents,
-        start,
-        strategy,
-    )
-    .expect("refinement always yields a relation");
-    if rel.is_total() {
-        rel
-    } else {
-        MatchRelation::empty(pattern.node_count(), data.id_space())
-    }
+    global_dual_simulation(pattern, data, strategy)
+        .unwrap_or_else(|| MatchRelation::empty(pattern.node_count(), data.id_space()))
 }
 
 /// The result of maintaining the global fixpoint across one delta.

@@ -7,8 +7,9 @@
 //! of `Q` with itself. Because strong simulation fixes the ball radius to the diameter of the
 //! *original* query (Lemma 3), the minimised pattern is bundled with that radius.
 
-use crate::dual::dual_simulation;
-use ssim_graph::{NodeId, Pattern};
+use crate::dual::refine_dual;
+use crate::simulation::initial_candidates;
+use ssim_graph::{GraphView, NodeId, Pattern};
 
 /// Result of minimising a pattern graph.
 #[derive(Debug, Clone)]
@@ -36,8 +37,11 @@ pub fn minimize_pattern(pattern: &Pattern) -> MinimizedPattern {
     let n = pattern.node_count();
     // Line 1: maximum dual-simulation match relation of Q over itself.
     // Matching a connected pattern against itself always succeeds (the identity relation is a
-    // witness), so the unwrap is justified.
-    let relation = dual_simulation(pattern, pattern.graph())
+    // witness), so the unwrap is justified. A pattern's own label classes are a handful of
+    // nodes, too few for neighbourhood seeding (`dual_candidates`) to pay for its walk, so
+    // this refines from the label classes.
+    let view = GraphView::full(pattern.graph());
+    let relation = refine_dual(pattern, &view, initial_candidates(pattern, &view))
         .expect("a pattern always dual-simulates itself via the identity relation");
 
     // Line 2: equivalence classes — u ≡ v iff (u, v) and (v, u) are both in the relation.

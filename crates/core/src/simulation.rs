@@ -78,6 +78,80 @@ pub fn initial_candidates<V: AdjView>(pattern: &Pattern, view: &V) -> MatchRelat
     relation
 }
 
+/// Builds a superset of the maximum dual-simulation relation of `pattern` over `view`
+/// that is seeded from pattern neighbourhoods instead of whole label classes.
+///
+/// The pattern node with the smallest label class is seeded with that class. Every other
+/// node `u` is then seeded, in greedy order (unseeded nodes adjacent to a seeded node,
+/// smallest label class first), from the already-seeded neighbour `w` with the fewest
+/// candidates: for a pattern edge `(w, u)` with the label-`l(u)` out-neighbours of
+/// `sim(w)`, for a pattern edge `(u, w)` with the label-`l(u)` in-neighbours of `sim(w)`.
+/// Seeding stops early, leaving the result non-total, once a set comes out empty.
+///
+/// **Exactness.** The parent condition forces `R*(u) ⊆ out(R*(w))` for a pattern edge
+/// `(w, u)` and the child condition forces `R*(u) ⊆ in(R*(w))` for `(u, w)`, where `R*`
+/// is the maximum dual-simulation relation. Patterns are connected, so induction over the
+/// seeding order gives `dual_candidates ⊇ R*`, and refining from it reaches exactly `R*`.
+pub fn dual_candidates<V: AdjView>(pattern: &Pattern, view: &V) -> MatchRelation {
+    let q = pattern.graph();
+    let nq = pattern.node_count();
+    let mut relation = MatchRelation::empty(nq, view.id_space());
+    let class: Vec<usize> = pattern
+        .nodes()
+        .map(|u| view.nodes_with_label(pattern.label(u)).count())
+        .collect();
+    let mut seeded = vec![false; nq];
+    let root = pattern
+        .nodes()
+        .min_by_key(|u| class[u.index()])
+        .expect("patterns have at least one node");
+    for v in view.nodes_with_label(pattern.label(root)) {
+        relation.insert(root, v);
+    }
+    seeded[root.index()] = true;
+    if relation.candidates(root).is_empty() {
+        return relation;
+    }
+    let mut buffer: Vec<NodeId> = Vec::new();
+    for _ in 1..nq {
+        let u = pattern
+            .nodes()
+            .filter(|u| {
+                !seeded[u.index()]
+                    && q.in_neighbors(*u)
+                        .chain(q.out_neighbors(*u))
+                        .any(|w| seeded[w.index()])
+            })
+            .min_by_key(|u| class[u.index()])
+            .expect("patterns are connected");
+        // `true` when the source is a pattern parent of `u`, i.e. the edge is `(w, u)`.
+        let (w, from_parent) = q
+            .in_neighbors(u)
+            .map(|w| (w, true))
+            .chain(q.out_neighbors(u).map(|w| (w, false)))
+            .filter(|(w, _)| seeded[w.index()])
+            .min_by_key(|(w, _)| relation.candidates(*w).len())
+            .expect("u is adjacent to a seeded node");
+        let label = pattern.label(u);
+        buffer.clear();
+        for v in relation.candidates(w).iter().map(NodeId::from_index) {
+            if from_parent {
+                buffer.extend(view.out_neighbors(v).filter(|&x| view.label(x) == label));
+            } else {
+                buffer.extend(view.in_neighbors(v).filter(|&x| view.label(x) == label));
+            }
+        }
+        for &x in &buffer {
+            relation.insert(u, x);
+        }
+        seeded[u.index()] = true;
+        if buffer.is_empty() {
+            break;
+        }
+    }
+    relation
+}
+
 /// Which refinement algorithm to run. The worklist engine is the default everywhere; the
 /// naive fixpoint is retained as the equivalence oracle for tests and ablation benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,7 +160,9 @@ pub enum RefineStrategy {
     /// incrementally through per-`(pattern edge, data node)` support counters.
     #[default]
     Worklist,
-    /// The seed's `while changed` re-scan of every candidate of every pattern edge.
+    /// The seed's `while changed` re-scan of every candidate of every pattern edge. Its
+    /// global dual-simulation fixpoint still starts from [`initial_candidates`] (whole
+    /// label classes), so the oracle does not depend on [`dual_candidates`] seeding.
     NaiveFixpoint,
 }
 
@@ -538,6 +614,99 @@ mod tests {
         assert!(!simulates(&pattern, &chain));
         let cycle = Graph::from_edges(vec![Label(0); 3], &[(0, 1), (1, 2), (2, 0)]).unwrap();
         assert!(simulates(&pattern, &cycle));
+    }
+
+    /// `dual_candidates` must contain the maximum dual-simulation relation on the paper's
+    /// fixtures, and refining it must reach exactly that relation.
+    #[test]
+    fn dual_candidates_contain_the_fixpoint_on_paper_fixtures() {
+        let (fig1_pattern, fig1_data, _) = crate::strong::tests::figure1();
+        let fixtures = [
+            (fig1_pattern, fig1_data),
+            crate::dual::tests::book_example(),
+        ];
+        for (pattern, data) in &fixtures {
+            let start = dual_candidates(pattern, data);
+            let labels = initial_candidates(pattern, data);
+            let dual = crate::dual::dual_simulation(pattern, data).unwrap();
+            assert!(dual.is_subrelation_of(&start));
+            assert!(start.is_subrelation_of(&labels));
+            let refined = crate::dual::refine_dual(pattern, data, start).unwrap();
+            assert_eq!(refined.to_sorted_pairs(), dual.to_sorted_pairs());
+        }
+        // On Fig. 1 the seeding already discards the partial components' HR/SE/Bio nodes
+        // and the long AI/DM cycle.
+        let (pattern, data) = &fixtures[0];
+        assert!(
+            dual_candidates(pattern, data).pair_count()
+                < initial_candidates(pattern, data).pair_count()
+        );
+    }
+
+    #[test]
+    fn dual_candidates_of_a_single_node_pattern_is_its_label_class() {
+        let pattern = Pattern::from_edges(vec![Label(5)], &[]).unwrap();
+        let data = Graph::from_edges(vec![Label(5), Label(5), Label(1)], &[(0, 1)]).unwrap();
+        let start = dual_candidates(&pattern, &data);
+        assert_eq!(start.to_sorted_pairs(), vec![(0, 0), (0, 1)]);
+        assert_eq!(
+            start.to_sorted_pairs(),
+            initial_candidates(&pattern, &data).to_sorted_pairs()
+        );
+    }
+
+    #[test]
+    fn dual_candidates_is_non_total_when_the_rarest_label_is_absent() {
+        // Pattern A -> C, and the data graph has no C at all.
+        let pattern = Pattern::from_edges(vec![Label(0), Label(9)], &[(0, 1)]).unwrap();
+        let data = Graph::from_edges(vec![Label(0), Label(0), Label(1)], &[(0, 2)]).unwrap();
+        let start = dual_candidates(&pattern, &data);
+        assert!(!start.is_total());
+        assert!(crate::dual::dual_simulation(&pattern, &data).is_none());
+    }
+
+    #[test]
+    fn dual_candidates_follow_edge_direction() {
+        // Pattern A -> B with B the rarest label. Data: a0 -> b (a parent), b -> a1 (a
+        // child), a2 isolated. sim(A) must be seeded from the in-neighbours of sim(B).
+        let pattern = Pattern::from_edges(vec![Label(0), Label(1)], &[(0, 1)]).unwrap();
+        let data = Graph::from_edges(
+            vec![Label(0), Label(0), Label(0), Label(1)],
+            &[(0, 3), (3, 1)],
+        )
+        .unwrap();
+        let start = dual_candidates(&pattern, &data);
+        assert_eq!(start.to_sorted_pairs(), vec![(0, 0), (1, 3)]);
+        // The reversed pattern B -> A seeds sim(A) from the out-neighbours instead.
+        let reversed = Pattern::from_edges(vec![Label(0), Label(1)], &[(1, 0)]).unwrap();
+        let start = dual_candidates(&reversed, &data);
+        assert_eq!(start.to_sorted_pairs(), vec![(0, 1), (1, 3)]);
+    }
+
+    #[test]
+    fn dual_candidates_with_self_loop_patterns() {
+        // A lone self-loop has no neighbour to seed from: its start is the label class,
+        // and refinement keeps only the nodes on a directed cycle.
+        let pattern = Pattern::from_edges(vec![Label(0)], &[(0, 0)]).unwrap();
+        let data = Graph::from_edges(vec![Label(0); 4], &[(0, 1), (1, 2), (2, 1)]).unwrap();
+        let start = dual_candidates(&pattern, &data);
+        assert_eq!(start.pair_count(), 4);
+        let dual = crate::dual::dual_simulation(&pattern, &data).unwrap();
+        assert_eq!(dual.to_sorted_pairs(), vec![(0, 1), (0, 2)]);
+
+        // A self-loop on A -> B, with B rarest: sim(A) comes from B's parents, the loop
+        // itself is never a seeding edge, and refinement drops the loop-less parent.
+        let pattern = Pattern::from_edges(vec![Label(0), Label(1)], &[(0, 0), (0, 1)]).unwrap();
+        let data = Graph::from_edges(
+            vec![Label(0), Label(0), Label(0), Label(1)],
+            &[(0, 0), (0, 3), (1, 3), (2, 2)],
+        )
+        .unwrap();
+        let start = dual_candidates(&pattern, &data);
+        assert_eq!(start.to_sorted_pairs(), vec![(0, 0), (0, 1), (1, 3)]);
+        let dual = crate::dual::dual_simulation(&pattern, &data).unwrap();
+        assert_eq!(dual.to_sorted_pairs(), vec![(0, 0), (1, 3)]);
+        assert!(dual.is_subrelation_of(&start));
     }
 
     #[test]

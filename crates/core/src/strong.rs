@@ -1188,7 +1188,7 @@ pub fn strong_simulation_plus(pattern: &Pattern, data: &Graph) -> MatchOutput {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use ssim_graph::{GraphBuilder, Label};
 

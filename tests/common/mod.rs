@@ -66,6 +66,82 @@ pub fn pattern() -> impl Strategy<Value = Pattern> {
     pattern_sized(6, 4)
 }
 
+/// Size of the [`skewed_graph`] alphabet.
+pub const SKEWED_LABELS: u32 = 10;
+
+/// Maps a uniform draw in `[0, 1)` to a label of a Zipf(1) distribution over
+/// [`SKEWED_LABELS`] symbols: label `k` has weight `1 / (k + 1)`, so label 0 covers about
+/// a third of the nodes and label 9 about 3 %.
+fn zipf_label(draw: f64) -> Label {
+    let total: f64 = (1..=SKEWED_LABELS).map(|k| 1.0 / f64::from(k)).sum();
+    let mut cumulative = 0.0;
+    for k in 0..SKEWED_LABELS {
+        cumulative += 1.0 / f64::from(k + 1) / total;
+        if draw < cumulative {
+            return Label(k);
+        }
+    }
+    Label(SKEWED_LABELS - 1)
+}
+
+/// Strategy: a sparse random data graph with `n ∈ [3, 96)` nodes, up to `2n` random edges
+/// and Zipf-skewed labels ([`zipf_label`]). Rare labels make small label classes, so a
+/// start seeded from pattern neighbourhoods is much smaller than the label classes.
+pub fn skewed_graph() -> impl Strategy<Value = Graph> {
+    (3usize..96).prop_flat_map(|n| {
+        let draws = proptest::collection::vec(0.0f64..1.0, n);
+        let edges = proptest::collection::vec((0u32..n as u32, 0u32..n as u32), 0..(2 * n));
+        (draws, edges).prop_map(|(draws, edges)| {
+            Graph::from_edges(draws.into_iter().map(zipf_label).collect(), &edges)
+                .expect("endpoints are in range by construction")
+        })
+    })
+}
+
+/// Carves a connected pattern of at most `size` nodes out of `graph`: the first `size`
+/// nodes of an undirected BFS from `start`, with every edge among them and their data
+/// labels. The carved pattern always dual-simulates into `graph`.
+pub fn carved_pattern(graph: &Graph, start: NodeId, size: usize) -> Pattern {
+    let mut order = vec![start];
+    let mut next = 0;
+    while next < order.len() && order.len() < size {
+        let v = order[next];
+        next += 1;
+        for w in graph.out_neighbors(v).chain(graph.in_neighbors(v)) {
+            if order.len() < size && !order.contains(&w) {
+                order.push(w);
+            }
+        }
+    }
+    let position = |v: NodeId| order.iter().position(|&x| x == v);
+    let labels: Vec<Label> = order.iter().map(|&v| graph.label(v)).collect();
+    let edges: Vec<(u32, u32)> = graph
+        .edges()
+        .filter_map(|(a, b)| Some((position(a)? as u32, position(b)? as u32)))
+        .collect();
+    Pattern::from_edges(labels, &edges).expect("a BFS prefix is connected")
+}
+
+/// Strategy: a [`skewed_graph`] with a pattern of 1–6 nodes. Half the patterns are carved
+/// out of the graph ([`carved_pattern`]) and so match; the other half are random patterns
+/// over the same alphabet, which often name labels the graph lacks.
+pub fn skewed_case() -> impl Strategy<Value = (Graph, Pattern)> {
+    (skewed_graph(), 1usize..7, any::<u64>()).prop_map(|(graph, size, word)| {
+        let pattern = if word & 1 == 0 {
+            let start = NodeId(((word >> 1) % graph.node_count() as u64) as u32);
+            carved_pattern(&graph, start, size)
+        } else {
+            random_pattern(&PatternGenConfig {
+                nodes: size,
+                alpha: 1.2,
+                labels: SKEWED_LABELS as usize,
+                seed: word >> 1,
+            })
+        };
+        (graph, pattern)
+    })
+}
+
 /// Builds a valid random delta against `graph` from raw generator words: odd words try
 /// to delete an existing edge, even words try to insert an absent one; ops that would
 /// conflict with an earlier pick are skipped, so the result always validates.

@@ -15,13 +15,15 @@ mod common;
 use common::{assert_bit_identical, random_delta};
 use proptest::prelude::*;
 use ssim_core::dual::dual_simulation_with;
+use ssim_core::incremental::global_fixpoint;
 use ssim_core::parallel::{chunk_plan, contiguous, stripe};
-use ssim_core::simulation::graph_simulation_with;
+use ssim_core::relation::MatchRelation;
+use ssim_core::simulation::{dual_candidates, graph_simulation_with};
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
 use ssim_core::{
     BallStrategy, BallSubstrate, IncrementalMatcher, RefineSeed, RefineStrategy, UpdatePlan,
 };
-use ssim_graph::{Graph, Pattern};
+use ssim_graph::{CompactionPolicy, Graph, OverlayGraph, Pattern};
 
 /// This suite stretches the shared generators a little wider than the default ranges:
 /// `n ∈ [3, 28)` data nodes and 2–6 pattern nodes.
@@ -85,6 +87,39 @@ proptest! {
                 a.is_some(), b.is_some()
             ),
         }
+    }
+
+    /// The neighbourhood-seeded global fixpoint on Zipf-skewed graphs, where the seeding
+    /// prunes hard: the worklist engine (seeded from `dual_candidates`) equals the naive
+    /// fixpoint (seeded from the label classes), the start contains the relation, and the
+    /// fixpoint over an overlay carrying a random delta equals the one over its flat graph.
+    #[test]
+    fn seeded_global_fixpoint_agrees_on_skewed_labels(
+        (data, q) in common::skewed_case(),
+        picks in proptest::collection::vec(any::<u64>(), 1..12),
+    ) {
+        let seeded = dual_simulation_with(&q, &data, RefineStrategy::Worklist);
+        let naive = dual_simulation_with(&q, &data, RefineStrategy::NaiveFixpoint);
+        prop_assert_eq!(
+            seeded.as_ref().map(MatchRelation::to_sorted_pairs),
+            naive.as_ref().map(MatchRelation::to_sorted_pairs)
+        );
+        if let Some(relation) = &seeded {
+            prop_assert!(relation.is_subrelation_of(&dual_candidates(&q, &data)));
+        }
+
+        let mut overlay = OverlayGraph::with_policy(data.clone(), CompactionPolicy::never());
+        overlay.apply_delta(&random_delta(&data, &picks)).expect("delta validates");
+        let flat = overlay.to_graph();
+        let over_overlay = global_fixpoint(&q, &overlay, RefineStrategy::Worklist);
+        prop_assert_eq!(
+            over_overlay.to_sorted_pairs(),
+            global_fixpoint(&q, &flat, RefineStrategy::Worklist).to_sorted_pairs()
+        );
+        prop_assert_eq!(
+            over_overlay.to_sorted_pairs(),
+            global_fixpoint(&q, &flat, RefineStrategy::NaiveFixpoint).to_sorted_pairs()
+        );
     }
 
     /// Parallel and sequential strong simulation return identical `MatchOutput`s, for both
