@@ -20,8 +20,9 @@
 //!    from-scratch fixpoint, mirroring the warm matcher's flood bail.
 //! 2. **`Gm` re-extraction policy.** The match-graph substrate re-extracts `Gm` only
 //!    when the matched-node set changed or a delta edge lands inside it; otherwise the
-//!    cached extraction (and its id translation) is reused and only the renumbered
-//!    relation is refreshed.
+//!    cached extraction (and its id translation) is reused. Its candidate adjacency
+//!    ([`GmSubstrate`]) is kept too when the fixpoint did not change, and rebuilt with
+//!    the renumbered relation otherwise.
 //! 3. **Dirty-ball invalidation.** Candidacy-changed nodes seed a dQ-bounded
 //!    multi-source BFS (any ball holding such a node is suspect); delta edges dirty
 //!    exactly the balls *containing* them — the centers within `dQ` of **both**
@@ -44,6 +45,7 @@
 use crate::ball::BallSubstrate;
 use crate::dual::global_dual_simulation;
 use crate::dual_filter::refine_suspects;
+use crate::gm::GmSubstrate;
 use crate::match_graph::PerfectSubgraph;
 use crate::minimize::minimize_pattern;
 use crate::relation::MatchRelation;
@@ -75,17 +77,18 @@ pub enum UpdatePlan {
 
 /// The maintained global dual-simulation state handed to
 /// [`crate::strong::match_with_prepared`]: the exact global fixpoint plus, on the
-/// match-graph substrate, the cached `Gm` extraction and the fixpoint renumbered into it.
+/// match-graph substrate, the cached [`GmSubstrate`] (`Gm`, the fixpoint renumbered into
+/// it and its candidate adjacency).
 #[derive(Clone, Copy)]
 pub struct PreparedGlobal<'a> {
     /// Exact global fixpoint for the *effective* (minimised) pattern over the data
     /// graph. Non-total means empty — patterns are connected, so the true non-total
     /// fixpoint is exactly the empty relation.
     pub relation: &'a MatchRelation,
-    /// The `Gm` extraction and the renumbered relation; present exactly when the
-    /// consuming configuration runs on [`BallSubstrate::MatchGraph`] and the fixpoint is
-    /// total.
-    pub gm: Option<(&'a ExtractedSubgraph, &'a MatchRelation)>,
+    /// The `Gm` substrate; present exactly when the consuming configuration runs on
+    /// [`BallSubstrate::MatchGraph`] and the fixpoint is total.
+    /// [`crate::strong::match_with_prepared`] extracts it from `relation` when absent.
+    pub gm: Option<&'a GmSubstrate>,
 }
 
 /// Computes the exact greatest dual-simulation fixpoint of `pattern` over `data`, with
@@ -318,9 +321,10 @@ pub struct PatternState {
     pub fixpoint: Option<MatchRelation>,
     /// Matched-node set of the fixpoint, in data-graph ids.
     pub matched: BitSet,
-    /// Cached `Gm` extraction plus the fixpoint renumbered into it; present exactly
-    /// when `dual_filter`, the match-graph substrate and a total fixpoint coincide.
-    pub gm_cache: Option<(ExtractedSubgraph, MatchRelation)>,
+    /// Cached `Gm` substrate (extraction, renumbered fixpoint, candidate adjacency);
+    /// present exactly when `dual_filter`, the match-graph substrate and a total
+    /// fixpoint coincide.
+    pub gm_cache: Option<GmSubstrate>,
 }
 
 /// What one (already-applied) delta did to a [`PatternState`] — the pattern-local
@@ -377,7 +381,7 @@ impl PatternState {
             if state.substrate == BallSubstrate::MatchGraph && fix.is_total() {
                 let sub = ExtractedSubgraph::induced(data, &state.matched);
                 let inner = fix.renumber_through(&sub);
-                state.gm_cache = Some((sub, inner));
+                state.gm_cache = Some(GmSubstrate::new(&state.effective, sub, inner));
             }
             state.fixpoint = Some(fix);
         }
@@ -389,7 +393,7 @@ impl PatternState {
     pub fn prepared(&self) -> Option<PreparedGlobal<'_>> {
         self.fixpoint.as_ref().map(|relation| PreparedGlobal {
             relation,
-            gm: self.gm_cache.as_ref().map(|(sub, inner)| (sub, inner)),
+            gm: self.gm_cache.as_ref(),
         })
     }
 
@@ -432,7 +436,7 @@ impl PatternState {
         };
 
         let old_matched = std::mem::replace(&mut self.matched, BitSet::new(n));
-        let mut old_gm_sub: Option<ExtractedSubgraph> = self.gm_cache.take().map(|(sub, _)| sub);
+        let mut old_gm: Option<GmSubstrate> = self.gm_cache.take();
 
         if self.dual_filter {
             let old_fix = self
@@ -463,17 +467,27 @@ impl PatternState {
                         .any(|(a, b)| {
                             self.matched.contains(a.index()) && self.matched.contains(b.index())
                         });
-                let reuse = self.matched == old_matched && !delta_inside_gm && old_gm_sub.is_some();
-                let sub = if reuse {
-                    old_gm_sub
-                        .take()
-                        .expect("reuse implies a cached extraction")
-                } else {
-                    effect.gm_reextracted = true;
-                    ExtractedSubgraph::induced(data, &self.matched)
+                let reuse = self.matched == old_matched && !delta_inside_gm && old_gm.is_some();
+                // The candidate lists are a function of `Gm` and the fixpoint: they stand
+                // only when both are unchanged.
+                let fixpoint_unchanged =
+                    up.pairs_gained == 0 && up.pairs_lost == 0 && !up.recomputed;
+                let gm = match old_gm.take() {
+                    Some(cached) if reuse && fixpoint_unchanged => cached,
+                    cached => {
+                        let sub = match cached {
+                            Some(cached) if reuse => cached.into_subgraph(),
+                            cached => {
+                                old_gm = cached;
+                                effect.gm_reextracted = true;
+                                ExtractedSubgraph::induced(data, &self.matched)
+                            }
+                        };
+                        let inner = fix.renumber_through(&sub);
+                        GmSubstrate::new(&self.effective, sub, inner)
+                    }
                 };
-                let inner = fix.renumber_through(&sub);
-                self.gm_cache = Some((sub, inner));
+                self.gm_cache = Some(gm);
             }
             self.fixpoint = Some(fix);
         }
@@ -502,21 +516,21 @@ impl PatternState {
         // identical membership, borders and projected relation on both sides of the
         // delta, so its cached row stands.
         if use_gm {
-            // Reused extractions leave `old_gm_sub` empty — reuse required an unchanged
+            // Reused extractions leave `old_gm` empty — reuse required an unchanged
             // matched set and no delta edge inside `Gm`, so the new-side sweep covers
             // the identical graph.
-            if let Some(sub) = old_gm_sub.as_ref() {
+            if let Some(old) = old_gm.as_ref() {
                 sweep_extraction(
-                    sub,
+                    old.subgraph(),
                     &touched,
                     &deleted_in_old,
                     self.radius,
                     &mut effect.dirty,
                 );
             }
-            if let Some((sub, _)) = self.gm_cache.as_ref() {
+            if let Some(gm) = self.gm_cache.as_ref() {
                 sweep_extraction(
-                    sub,
+                    gm.subgraph(),
                     &touched,
                     &inserted_in_new,
                     self.radius,
@@ -1214,9 +1228,9 @@ pub(crate) fn refreshed_pattern_stats(
     stats.perfect_subgraphs = subgraph_count;
     stats.radius = ps.radius;
     stats.balls_considered = node_count;
-    if let Some((sub, _)) = &ps.gm_cache {
-        stats.gm_nodes = sub.node_count();
-        stats.gm_edges = sub.edge_count();
+    if let Some(gm) = &ps.gm_cache {
+        stats.gm_nodes = gm.subgraph().node_count();
+        stats.gm_edges = gm.subgraph().edge_count();
     }
     stats
 }
@@ -1274,6 +1288,48 @@ mod tests {
                 let oneshot = strong_simulation(&pattern, &inc.data(), &config);
                 assert_rows_equal(inc.output(), &oneshot, &format!("vs one-shot {i}"));
             }
+        }
+    }
+
+    /// Deltas that move fixpoint pairs while the matched set stays the same must rebuild
+    /// the cached candidate lists, and a delta outside `Gm` keeps them; rows track the
+    /// recompute oracle either way. (With `Gm` reused its fixpoint cannot change: both
+    /// relations are dual simulations of the same induced subgraph.)
+    #[test]
+    fn candidate_lists_follow_pair_changes_on_a_fixed_matched_set() {
+        // a(A) → a′(A) over the chain 0 → 1 → 2 of A-nodes plus a C-node 3.
+        let pattern = Pattern::from_edges(vec![Label(0), Label(0)], &[(0, 1)]).unwrap();
+        let data = Graph::from_edges(
+            vec![Label(0), Label(0), Label(0), Label(2)],
+            &[(0, 1), (1, 2)],
+        )
+        .unwrap();
+        let config = MatchConfig::optimized();
+        let mut inc = IncrementalMatcher::new(&pattern, data.clone(), config);
+        let mut ora = IncrementalMatcher::new(
+            &pattern,
+            data,
+            config.with_update_plan(UpdatePlan::Recompute),
+        );
+        let mut close_cycle = GraphDelta::new();
+        close_cycle.insert_edge(NodeId(2), NodeId(0));
+        let mut outside_gm = GraphDelta::new();
+        outside_gm.insert_edge(NodeId(0), NodeId(3));
+        let mut open_cycle = GraphDelta::new();
+        open_cycle.delete_edge(NodeId(2), NodeId(0));
+        for (delta, pairs_changed, reextracted) in [
+            (close_cycle, true, true),
+            (outside_gm, false, false),
+            (open_cycle, true, true),
+        ] {
+            let matched_before = inc.output().matched_nodes();
+            inc.apply(&delta).unwrap();
+            ora.apply(&delta).unwrap();
+            let up = inc.last_update().clone();
+            assert_eq!(inc.output().matched_nodes(), matched_before);
+            assert_eq!(up.pairs_gained + up.pairs_lost > 0, pairs_changed, "{up:?}");
+            assert_eq!(up.gm_reextracted, reextracted, "{up:?}");
+            assert_rows_equal(inc.output(), ora.output(), &format!("{up:?}"));
         }
     }
 

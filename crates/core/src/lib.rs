@@ -56,6 +56,7 @@ pub mod bisimulation;
 pub mod bounded;
 pub mod dual;
 pub mod dual_filter;
+pub mod gm;
 pub mod incremental;
 pub mod match_graph;
 pub mod minimize;
@@ -71,6 +72,7 @@ pub mod warm;
 
 pub use ball::{locality_center_order, BallForest, BallMove, BallStrategy, BallSubstrate};
 pub use dual::{dual_simulates, dual_simulation, dual_simulation_with};
+pub use gm::GmSubstrate;
 pub use incremental::{IncrementalMatcher, PreparedGlobal, UpdatePlan, UpdateStats};
 pub use match_graph::{MatchGraph, PerfectSubgraph};
 pub use minimize::minimize_pattern;

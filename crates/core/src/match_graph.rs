@@ -205,6 +205,10 @@ impl PerfectSubgraph {
 /// Returns `None` when the ball center `w` does not appear in the relation (line 1 of the
 /// procedure), otherwise the connected component of the match graph that contains `w`
 /// (justified by Theorem 2).
+///
+/// This builds the ball's [`MatchGraph`] from the view's raw adjacency. It is the
+/// reference for the engine's balls inside `Gm`, which extract with one BFS over the
+/// query's candidate lists ([`crate::gm::match_gm_ball`]).
 pub fn extract_max_perfect_subgraph<V: AdjView>(
     pattern: &Pattern,
     view: &V,

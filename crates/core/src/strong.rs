@@ -42,13 +42,16 @@
 //! * **match-graph ball substrate** ([`BallSubstrate::MatchGraph`]) — with `dual_filter`
 //!   on, the matched-node set is extracted once as a dense renumbered subgraph `Gm`
 //!   ([`ssim_graph::ExtractedSubgraph`]) and the entire ball pipeline — locality order,
-//!   forest slides, compact balls, warm carries, pruning, extraction — runs inside it,
+//!   forest slides, compact balls, warm carries, extraction — runs inside it,
 //!   translating ids back only at [`PerfectSubgraph`] emission
-//!   ([`BallSubstrate::FullGraph`] is the oracle).
+//!   ([`BallSubstrate::FullGraph`] is the oracle). Connectivity pruning is the identity
+//!   on `Gm` balls and is skipped; balls refined from scratch read the query's candidate
+//!   adjacency ([`crate::gm::GmSubstrate`]) instead of the raw `Gm` CSR.
 
 use crate::ball::{locality_center_order, BallForest, BallStrategy, BallSubstrate};
 use crate::dual::{dual_simulation_with, refine_dual_with};
 use crate::dual_filter::refine_projected;
+use crate::gm::{match_gm_ball, GmSubstrate};
 use crate::incremental::{PreparedGlobal, UpdatePlan};
 use crate::match_graph::{extract_max_perfect_subgraph, PerfectSubgraph};
 use crate::minimize::minimize_pattern;
@@ -472,8 +475,9 @@ pub fn strong_simulation(pattern: &Pattern, data: &Graph, config: &MatchConfig) 
 ///
 /// * `prepared` — a maintained global dual-simulation state ([`PreparedGlobal`]): the
 ///   exact global fixpoint plus, on the match-graph substrate, the cached `Gm`
-///   extraction. When given, the global fixpoint and the extraction are *not* recomputed
-///   here — that is the point of maintaining them across updates.
+///   substrate. When given, the global fixpoint and the substrate are *not* recomputed
+///   here — that is the point of maintaining them across updates. A prepared state
+///   without its `Gm` gets one extracted from its fixpoint.
 /// * `dirty` — a center filter in **data-graph** (outer) ids: only balls whose center is
 ///   in the set are evaluated. Every per-ball unit of work is independent of which other
 ///   centers run (the invariant the PR 2–4 differential suites pin), so the rows
@@ -498,9 +502,10 @@ pub fn match_with_prepared(
 ///
 /// # Panics
 /// Panics when the configuration would traverse raw data adjacency after all: `dual_filter`
-/// off, or a total relation on the [`BallSubstrate::FullGraph`] oracle substrate (no `Gm`
-/// to run in). Callers route those shapes through [`match_with_prepared`] with a
-/// materialised graph instead.
+/// off, a total relation on the [`BallSubstrate::FullGraph`] oracle substrate (no `Gm`
+/// to run in), or a total relation without its prepared `Gm` (which would have to be
+/// extracted from the data graph). Callers route those shapes through
+/// [`match_with_prepared`] with a materialised graph instead.
 pub fn match_with_prepared_counted(
     pattern: &Pattern,
     data_node_count: usize,
@@ -597,31 +602,28 @@ fn match_impl(
     // support an in-ball pair or appear in an extracted subgraph, so the default substrate
     // materialises the match graph `Gm` once and runs the entire ball pipeline inside it
     // (Fig. 5). One matched-set buffer serves both the extraction and the center filter.
+    // A prepared state without its `Gm` (the fields are public) gets it extracted here
+    // from the prepared fixpoint, like a one-shot run.
     stats.balls_considered = data.node_count();
     let mut matched_buf = BitSet::new(0);
-    let extracted: Option<(ExtractedSubgraph, MatchRelation)> = match (global_relation, prepared) {
-        (Some(global), None) if config.ball_substrate == BallSubstrate::MatchGraph => {
-            Some(global.extract_matched_subgraph(data.flat(), &mut matched_buf))
+    let on_gm = global_relation.is_some() && config.ball_substrate == BallSubstrate::MatchGraph;
+    let prepared_gm = prepared.and_then(|p| p.gm).filter(|_| on_gm);
+    let extracted: Option<GmSubstrate> = match global_relation {
+        Some(global) if on_gm && prepared_gm.is_none() => {
+            let (sub, inner) = global.extract_matched_subgraph(data.flat(), &mut matched_buf);
+            Some(GmSubstrate::new(effective_pattern, sub, inner))
         }
         _ => None,
     };
-    let gm: Option<(&ExtractedSubgraph, &MatchRelation)> = match (global_relation, prepared) {
-        (Some(_), Some(p)) if config.ball_substrate == BallSubstrate::MatchGraph => {
-            Some(p.gm.expect("prepared state must carry Gm on the match-graph substrate"))
-        }
-        (Some(_), None) if config.ball_substrate == BallSubstrate::MatchGraph => {
-            extracted.as_ref().map(|(sub, inner)| (sub, inner))
-        }
-        _ => None,
-    };
-    if let Some((sub, _)) = gm {
-        stats.gm_nodes = sub.node_count();
-        stats.gm_edges = sub.edge_count();
+    let gm: Option<&GmSubstrate> = prepared_gm.or(extracted.as_ref());
+    if let Some(gm) = gm {
+        stats.gm_nodes = gm.subgraph().node_count();
+        stats.gm_edges = gm.subgraph().edge_count();
     }
     // Everything below speaks `match_data` ids: `Gm` ids on the match-graph substrate,
     // data-graph ids otherwise. Results are translated back at emission.
     let (match_data, local_relation): (&Graph, Option<&MatchRelation>) = match gm {
-        Some((sub, inner)) => (sub.graph(), Some(inner)),
+        Some(gm) => (gm.graph(), Some(gm.relation())),
         None => (data.flat(), global_relation),
     };
 
@@ -629,7 +631,7 @@ fn match_impl(
     // match-graph substrate the extraction already performed exactly that filter, so the
     // skipped/considered accounting is identical on both substrates.
     let centers: Vec<NodeId> = match (gm, global_relation) {
-        (Some((sub, _)), _) => sub.graph().nodes().collect(),
+        (Some(gm), _) => gm.graph().nodes().collect(),
         (None, Some(global)) => {
             global.matched_data_nodes_into(&mut matched_buf);
             data.flat()
@@ -647,7 +649,7 @@ fn match_impl(
         Some(dirty) => centers
             .into_iter()
             .filter(|&c| {
-                let outer = gm.map_or(c, |(sub, _)| sub.outer_of(c));
+                let outer = gm.map_or(c, |gm| gm.subgraph().outer_of(c));
                 dirty.contains(outer.index())
             })
             .collect(),
@@ -696,7 +698,8 @@ fn match_impl(
         let mut result = WorkerResult::default();
         let mut scratch = BallScratch::new();
         let mut forest = use_forest.then(|| BallForest::new(match_data, radius));
-        let mut warm = use_warm.then(|| WarmMatcher::new(effective_pattern));
+        let mut warm =
+            use_warm.then(|| WarmMatcher::new(effective_pattern).on_match_graph(gm.is_some()));
         while let Some((chunk, stolen)) = scheduler.next(t) {
             result.chunks_processed += 1;
             result.chunks_stolen += usize::from(stolen);
@@ -749,6 +752,7 @@ fn match_impl(
                                 &ball,
                                 config,
                                 local_relation,
+                                gm,
                             );
                             result.seeded_pairs += seeded;
                             result.record_repetition(repetition);
@@ -765,6 +769,7 @@ fn match_impl(
                             radius,
                             config,
                             local_relation,
+                            gm,
                             &mut scratch,
                         );
                         result.seeded_pairs += seeded;
@@ -791,8 +796,8 @@ fn match_impl(
                     if let Some(mut subgraph) = subgraph {
                         // Cross the id-translation boundary: everything above spoke substrate
                         // ids; emitted subgraphs speak the caller's data-graph ids.
-                        if let Some((sub, _)) = gm {
-                            subgraph = translate_to_outer(subgraph, sub);
+                        if let Some(gm) = gm {
+                            subgraph = translate_to_outer(subgraph, gm.subgraph());
                         }
                         // Express the relation in terms of the caller's pattern nodes when the
                         // matcher ran on the minimised pattern.
@@ -898,6 +903,7 @@ fn match_impl(
 /// Matches one ball using the compact (ball-local ids) engine, building the ball with a
 /// fresh BFS. Returns the translated perfect subgraph, if any, plus the number of pairs
 /// the dual filter removed.
+#[allow(clippy::too_many_arguments)]
 fn match_ball_compact(
     pattern: &Pattern,
     data: &Graph,
@@ -905,10 +911,11 @@ fn match_ball_compact(
     radius: usize,
     config: &MatchConfig,
     global_relation: Option<&MatchRelation>,
+    gm: Option<&GmSubstrate>,
     scratch: &mut BallScratch,
 ) -> (Option<PerfectSubgraph>, usize, usize, RepetitionOutcome) {
     let ball = CompactBall::build(data, center, radius, scratch);
-    let result = match_prepared_ball(pattern, data, &ball, config, global_relation);
+    let result = match_prepared_ball(pattern, data, &ball, config, global_relation, gm);
     ball.recycle(scratch);
     result
 }
@@ -917,14 +924,19 @@ fn match_ball_compact(
 /// ball may come from a fresh BFS ([`CompactBall::build`]) or a [`BallForest`] slide; the
 /// member *order* (and hence the local id assignment) differs between the two, but every
 /// downstream step works on id sets and re-sorts at extraction, so the output is
-/// bit-identical either way.
+/// bit-identical either way. Balls built inside `Gm` refine and extract over its
+/// candidate adjacency ([`match_gm_ball`]).
 fn match_prepared_ball(
     pattern: &Pattern,
     data: &Graph,
     ball: &CompactBall,
     config: &MatchConfig,
     global_relation: Option<&MatchRelation>,
+    gm: Option<&GmSubstrate>,
 ) -> (Option<PerfectSubgraph>, usize, usize, RepetitionOutcome) {
+    if let Some(gm) = gm {
+        return match_gm_ball(pattern, ball, gm, config.repetition, config.repetition_mode);
+    }
     let view = ball.view(data);
 
     // Starting relation (ball-local ids): either the projected global relation or fresh
@@ -1136,6 +1148,10 @@ pub fn match_compact_ball_with(
 /// [`match_compact_ball`] under the dual filter: the per-ball start is the projection of
 /// the global dual-simulation relation (in `data`'s id space — `Gm` ids when the ball was
 /// built inside an extraction) and refinement is border-seeded (`dualFilter`, Fig. 5).
+///
+/// Refinement and extraction walk `data`'s raw CSR ([`refine_projected`] +
+/// [`extract_max_perfect_subgraph`]): this is the reference for the engine's `Gm` balls,
+/// which run over the query's candidate lists instead ([`crate::gm::match_gm_ball`]).
 pub fn match_compact_ball_filtered(
     pattern: &Pattern,
     ball: &CompactBall,

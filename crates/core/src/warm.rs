@@ -57,6 +57,8 @@
 //! refines to the pruning-free fixpoint (which *is* carried), then prunes and re-refines:
 //! `GF(prune(GF(S))) = GF(prune(S))` because pruning is monotone and `GF(prune(S))` stays
 //! connected-to-center inside `GF(S)` — the output matches the scratch pipeline exactly.
+//! On `Gm` balls pruning the projection is the identity, so the scratch pipeline skips it
+//! and the warm path extracts from the pruning-free fixpoint directly.
 //!
 //! On top of the carried relation, the per-ball **match graph** is maintained
 //! incrementally (pruning off): rows are kept in global ids — stable across the remap —
@@ -227,6 +229,8 @@ pub struct WarmMatcher {
     /// (set by flooded gain closures).
     flood_penalty: u32,
     flood_backoff: u32,
+    /// Balls come from the match-graph substrate `Gm` ([`WarmMatcher::on_match_graph`]).
+    gm_balls: bool,
     /// Work counters, drained by the driver after the worker finishes.
     pub stats: WarmStats,
 }
@@ -256,8 +260,18 @@ impl WarmMatcher {
             carry_fresh: false,
             flood_penalty: 0,
             flood_backoff: BAIL_BACKOFF_START,
+            gm_balls: false,
             stats: WarmStats::default(),
         }
+    }
+
+    /// Marks the matcher's balls as built inside the match-graph substrate `Gm`, where
+    /// the output stage skips connectivity pruning: every `Gm` node is a candidate and a
+    /// `Gm` ball is the undirected BFS closure of its center, so the center's
+    /// match-graph component — all that is extracted — is the same with or without it.
+    pub(crate) fn on_match_graph(mut self, gm: bool) -> Self {
+        self.gm_balls = gm;
+        self
     }
 
     /// The per-ball dispatch gate shared by the drivers: returns `true` when the ball
@@ -434,8 +448,14 @@ impl WarmMatcher {
                 // where the scratch pipeline runs the closure (between convergence and
                 // extraction); the pruning-free carry below is untouched by it.
                 let mut repetition_stats = (0usize, 0usize);
-                result = prune_by_connectivity(pattern, &view, ball.center(), rel)
-                    .and_then(|pruned| refine_dual_with(pattern, &view, pruned, refine_strategy))
+                let pruned = if self.gm_balls {
+                    Some(rel.clone())
+                } else {
+                    prune_by_connectivity(pattern, &view, ball.center(), rel).and_then(|pruned| {
+                        refine_dual_with(pattern, &view, pruned, refine_strategy)
+                    })
+                };
+                result = pruned
                     .and_then(|mut final_rel| {
                         let outcome = enforce_repetition(
                             pattern,

@@ -45,6 +45,7 @@ use crate::fault::{FaultAction, FaultPlan, RecoveryPolicy, RecoveryStats};
 use crate::partition::{GraphPartition, PartitionStrategy};
 use ssim_core::ball::{locality_center_order, BallForest, BallSubstrate};
 use ssim_core::dual::dual_simulation_with;
+use ssim_core::gm::{match_gm_ball, GmSubstrate};
 use ssim_core::incremental::{PreparedGlobal, UpdatePlan};
 use ssim_core::match_graph::PerfectSubgraph;
 use ssim_core::minimize::minimize_pattern;
@@ -58,7 +59,7 @@ use ssim_core::strong::{
     match_compact_ball_filtered_with, match_compact_ball_with, translate_to_outer,
 };
 use ssim_core::warm::WarmMatcher;
-use ssim_graph::{BallScratch, BitSet, ExtractedSubgraph, Graph, NodeId, Pattern};
+use ssim_graph::{BallScratch, BitSet, Graph, NodeId, Pattern};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Configuration of a distributed run.
@@ -510,7 +511,7 @@ fn distributed_impl(
 struct FanoutCtx<'a> {
     pattern: &'a Pattern,
     match_data: &'a Graph,
-    gm: Option<&'a ExtractedSubgraph>,
+    gm: Option<&'a GmSubstrate>,
     relation: Option<&'a MatchRelation>,
     partition: &'a GraphPartition,
     site_centers: &'a [Vec<NodeId>],
@@ -586,24 +587,23 @@ fn distributed_core(
     } else {
         None
     };
-    let extracted: Option<(ExtractedSubgraph, MatchRelation)> = match (global_relation, prepared) {
+    let extracted: Option<GmSubstrate> = match (global_relation, prepared) {
         (Some(global), None) if config.ball_substrate == BallSubstrate::MatchGraph => {
             let mut matched = BitSet::new(0);
-            Some(global.extract_matched_subgraph(data.flat()?, &mut matched))
+            let (sub, inner) = global.extract_matched_subgraph(data.flat()?, &mut matched);
+            Some(GmSubstrate::new(&effective_pattern, sub, inner))
         }
         _ => None,
     };
-    let gm: Option<(&ExtractedSubgraph, &MatchRelation)> = match (global_relation, prepared) {
+    let gm: Option<&GmSubstrate> = match (global_relation, prepared) {
         (Some(_), Some(p)) if config.ball_substrate == BallSubstrate::MatchGraph => {
             Some(p.gm.ok_or(DistError::PreparedStateMissingGm)?)
         }
-        (Some(_), None) if config.ball_substrate == BallSubstrate::MatchGraph => {
-            extracted.as_ref().map(|(sub, inner)| (sub, inner))
-        }
+        (Some(_), None) if config.ball_substrate == BallSubstrate::MatchGraph => extracted.as_ref(),
         _ => None,
     };
     let (match_data, local_relation): (&Graph, Option<&MatchRelation>) = match gm {
-        Some((sub, inner)) => (sub.graph(), Some(inner)),
+        Some(gm) => (gm.graph(), Some(gm.relation())),
         None => (data.flat()?, global_relation),
     };
 
@@ -612,7 +612,7 @@ fn distributed_core(
     // walk their own centers in this order so their forests can slide between adjacent
     // ones, and the O(|V| + |E|) ordering BFS is paid once instead of once per site.
     let centers: Vec<NodeId> = match (gm, global_relation) {
-        (Some((sub, _)), _) => sub.graph().nodes().collect(),
+        (Some(gm), _) => gm.graph().nodes().collect(),
         (None, Some(global)) => {
             let matched = global.matched_data_nodes();
             data.flat()?
@@ -628,7 +628,7 @@ fn distributed_core(
         Some(dirty) => centers
             .into_iter()
             .filter(|&c| {
-                let outer = gm.map_or(c, |(sub, _)| sub.outer_of(c));
+                let outer = gm.map_or(c, |gm| gm.subgraph().outer_of(c));
                 dirty.contains(outer.index())
             })
             .collect(),
@@ -636,7 +636,7 @@ fn distributed_core(
     };
     let mut site_centers: Vec<Vec<NodeId>> = vec![Vec::new(); partition.sites()];
     for center in cache.locality(match_data, &centers) {
-        let owner = gm.map_or(center, |(sub, _)| sub.outer_of(center));
+        let owner = gm.map_or(center, |gm| gm.subgraph().outer_of(center));
         site_centers[partition.site_of(owner)].push(center);
     }
 
@@ -653,7 +653,7 @@ fn distributed_core(
     let ctx = FanoutCtx {
         pattern: &effective_pattern,
         match_data,
-        gm: gm.map(|(sub, _)| sub),
+        gm,
         relation: local_relation,
         partition: &partition,
         site_centers: &site_centers,
@@ -1032,7 +1032,7 @@ fn run_supervised(
     }
 
     // Lost chunks' centers, translated to the caller's id space and sorted.
-    let outer_of = |v: NodeId| ctx.gm.map_or(v, |sub| sub.outer_of(v));
+    let outer_of = |v: NodeId| ctx.gm.map_or(v, |gm| gm.subgraph().outer_of(v));
     let mut lost_centers: Vec<NodeId> = lost
         .into_iter()
         .flat_map(|(site, range)| ctx.site_centers[site][range].iter().copied())
@@ -1055,7 +1055,7 @@ fn evaluate_chunk(
     site: usize,
     pattern: &Pattern,
     data: &Graph,
-    gm: Option<&ExtractedSubgraph>,
+    gm: Option<&GmSubstrate>,
     global_relation: Option<&MatchRelation>,
     partition: &GraphPartition,
     centers: &[NodeId],
@@ -1067,7 +1067,7 @@ fn evaluate_chunk(
     repetition_mode: RepetitionMode,
 ) {
     // Ownership and the border metric live on the *original* graph's ids.
-    let outer_of = |v: NodeId| gm.map_or(v, |sub| sub.outer_of(v));
+    let outer_of = |v: NodeId| gm.map_or(v, |gm| gm.subgraph().outer_of(v));
     for &center in centers {
         report.balls_per_site[site] += 1;
         // Border centers: a substrate neighbour stored on a different site. On the
@@ -1120,6 +1120,9 @@ fn evaluate_chunk(
                 repetition_mode,
             )
             .0
+        } else if let Some(gm) = gm {
+            // Balls inside `Gm` refine and extract over its candidate adjacency.
+            match_gm_ball(pattern, &ball, gm, repetition, repetition_mode).0
         } else if let Some(global) = global_relation {
             match_compact_ball_filtered_with(
                 pattern,
@@ -1137,7 +1140,7 @@ fn evaluate_chunk(
             // The id-translation boundary: sites speak substrate ids, reports speak the
             // caller's data-graph ids.
             report.subgraphs.push(match gm {
-                Some(sub) => translate_to_outer(subgraph, sub),
+                Some(gm) => translate_to_outer(subgraph, gm.subgraph()),
                 None => subgraph,
             });
         }

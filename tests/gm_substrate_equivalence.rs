@@ -38,14 +38,23 @@
 
 mod common;
 
-use common::{data_graph, pattern};
+use common::{data_graph, pattern, skewed_case};
 use proptest::prelude::*;
 use ssim_core::dual::dual_simulation;
-use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
-use ssim_core::{BallStrategy, BallSubstrate, RefineSeed, RefineStrategy};
+use ssim_core::dual_filter::refine_projected;
+use ssim_core::gm::{match_gm_ball, GmSubstrate};
+use ssim_core::incremental::{PatternState, PreparedGlobal};
+use ssim_core::pruning::prune_by_connectivity;
+use ssim_core::strong::{
+    match_compact_ball_filtered, match_with_prepared, strong_simulation, MatchConfig, MatchOutput,
+};
+use ssim_core::{
+    BallStrategy, BallSubstrate, RefineSeed, RefineStrategy, RepetitionMode, RepetitionSemantics,
+};
 use ssim_distributed::{distributed_strong_simulation, DistributedConfig, PartitionStrategy};
 use ssim_graph::{
-    Ball, BallScratch, BitSet, CompactBall, ExtractedSubgraph, Graph, Label, NodeId, Pattern,
+    Ball, BallScratch, BitSet, CompactBall, ExtractedSubgraph, Graph, Label, NodeId, OverlayGraph,
+    Pattern,
 };
 
 /// Returns `true` when every node of `subgraph` lies within `Gm`-distance `radius` of
@@ -411,9 +420,117 @@ proptest! {
     }
 }
 
+/// Checks every ball of `q`'s `Gm` over `data` at `radius`:
+///
+/// * connectivity pruning returns the projection unchanged — every `Gm` node is a
+///   candidate and a `Gm` ball is the BFS closure of its center, which is why the engine
+///   skips the pass on `Gm` balls (a substrate with non-candidate nodes would break
+///   this, and the skip with it);
+/// * the candidate-list path ([`match_gm_ball`]) and the raw-CSR reference
+///   (`refine_projected` + `extract_max_perfect_subgraph`) agree on the row, the removed
+///   pairs and the seeded pairs.
+fn check_gm_ball_paths(data: &Graph, q: &Pattern, radius: usize) -> Result<(), String> {
+    let Some(global) = dual_simulation(q, data) else {
+        return Ok(());
+    };
+    let (sub, inner) = global.extract_matched_subgraph(data, &mut BitSet::new(0));
+    let gm = GmSubstrate::new(q, sub, inner);
+    let mut scratch = BallScratch::new();
+    for center in gm.graph().nodes() {
+        let ball = CompactBall::build(gm.graph(), center, radius, &mut scratch);
+        let view = ball.view(gm.graph());
+        let start = gm.relation().project_compact(&ball);
+        let pruned = prune_by_connectivity(q, &view, ball.center(), &start);
+        prop_assert!(
+            pruned.as_ref() == Some(&start),
+            "pruning changed the projection of Gm ball ({center}, {radius})"
+        );
+        let seeded = start.pair_count();
+        let mut removed = 0usize;
+        let _ = refine_projected(q, &view, ball.border(), start, Some(&mut removed));
+        let want = match_compact_ball_filtered(q, &ball, gm.graph(), gm.relation());
+        let (got, got_removed, got_seeded, _) = match_gm_ball(
+            q,
+            &ball,
+            &gm,
+            RepetitionSemantics::Free,
+            RepetitionMode::Integrated,
+        );
+        prop_assert!(got == want, "rows of Gm ball ({center}, {radius}) differ");
+        prop_assert_eq!(got_removed, removed);
+        prop_assert_eq!(got_seeded, seeded);
+        ball.recycle(&mut scratch);
+    }
+    Ok(())
+}
+
+proptest! {
+    // Cheap (a few milliseconds), and cascades deep enough to tell the paths apart are
+    // rare on graphs this small, so these run more cases than the suites above.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The per-ball paths agree on every `Gm` ball of random edge soups.
+    #[test]
+    fn gm_ball_paths_agree_on_random_graphs(
+        data in data_graph(),
+        q in pattern(),
+        radius in 0usize..2,
+    ) {
+        check_gm_ball_paths(&data, &q, radius)?;
+        check_gm_ball_paths(&data, &q, q.diameter())?;
+    }
+
+    /// The per-ball paths agree on every `Gm` ball of Zipf-skewed graphs, whose carved
+    /// patterns always match.
+    #[test]
+    fn gm_ball_paths_agree_on_skewed_graphs(case in skewed_case(), radius in 0usize..2) {
+        let (data, q) = case;
+        check_gm_ball_paths(&data, &q, radius)?;
+        check_gm_ball_paths(&data, &q, q.diameter())?;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic regressions.
 // ---------------------------------------------------------------------------
+
+/// A prepared state without its `Gm` (the fields are public) used to panic under the
+/// default substrate; the matcher now extracts `Gm` from the prepared fixpoint.
+#[test]
+fn prepared_state_without_gm_extracts_it() {
+    let fig = ssim_datasets::paper::figure1();
+    for config in [
+        MatchConfig::optimized(),
+        MatchConfig {
+            dual_filter: true,
+            ..MatchConfig::basic()
+        },
+    ] {
+        let state = PatternState::new(
+            &fig.pattern,
+            &OverlayGraph::new(fig.data.clone()),
+            config.minimize_query,
+            config.radius_override,
+            config.dual_filter,
+            config.ball_substrate,
+            config.refine_strategy,
+        );
+        let with_gm = state
+            .prepared()
+            .expect("the dual filter maintains a fixpoint");
+        assert!(with_gm.gm.is_some());
+        let without_gm = PreparedGlobal {
+            gm: None,
+            ..with_gm
+        };
+        let oneshot = strong_simulation(&fig.pattern, &fig.data, &config);
+        let got = match_with_prepared(&fig.pattern, &fig.data, &config, Some(without_gm), None);
+        let cached = match_with_prepared(&fig.pattern, &fig.data, &config, Some(with_gm), None);
+        assert!(oneshot.is_match());
+        assert_eq!(got, oneshot, "{config:?}");
+        assert_eq!(got, cached, "{config:?}");
+    }
+}
 
 /// Runs both substrates sequentially and asserts bit-identical outputs; returns the
 /// match-graph-substrate output for extra assertions.
