@@ -1,49 +1,15 @@
-//! Shared/incremental ball construction: the [`BallForest`].
+//! Ball-pipeline helpers shared by the one-shot engine and the distributed runtime: the
+//! [`BallSubstrate`] axis and the [`locality_center_order`] the distributed coordinator
+//! splits its site center lists by.
 //!
-//! The per-ball cost of `Match` splits into (a) building the ball `Ĝ[w, dQ]` and
-//! (b) refining the relation inside it. PR 1 made (b) fast; at small radii and on sparse
-//! graphs (a) dominates, and the balls of *adjacent* centers overlap almost entirely — a
-//! fresh BFS per center recomputes nearly the same member set over and over.
-//!
-//! A `BallForest` slides one distance-annotated ball along a locality-ordered sequence of
-//! centers. Moving from center `c` to a center `c'` at distance `k = dist(c, c')` uses the
-//! triangle inequality `dist(c, v) − k ≤ dist(c', v) ≤ dist(c, v) + k`: every stored
-//! distance shifted up by `k` is a valid upper bound for the new center, and a
-//! bucket-queue repair pass (a Dijkstra with upper-bound initialisation, specialised to
-//! unit weights) settles the exact new distances. Only nodes whose distance *improves*
-//! below the shifted bound are ever re-expanded; nodes drifting away from the center keep
-//! their shifted value untouched. Nodes entering the ball are discovered through chains of
-//! strictly-improved nodes (the predecessor of an entering node on a shortest path from
-//! `c'` improves strictly, by induction down to `c'` itself), so no halo beyond the ball
-//! needs to be tracked; nodes leaving the ball are dropped by a final retain over the
-//! member list.
-//!
-//! When `c'` is outside the current ball, or farther than [`MAX_SLIDE`] (the ±k window
-//! then covers most of the ball and the delta degenerates to a rebuild), the forest falls
-//! back to a fresh bounded BFS. [`BallStrategy`] selects between the forest and the
-//! seed's fresh-BFS-per-center behaviour, mirroring how
-//! [`crate::simulation::RefineStrategy`] keeps the naive fixpoint as the refinement
-//! oracle; the differential tests in `tests/ball_forest_equivalence.rs` hold the two
-//! bit-identical.
+//! Every ball `Ĝ[w, dQ]` itself is built by a fresh bounded BFS
+//! ([`ssim_graph::CompactBall::build`]) and refined from scratch, as in the paper's
+//! `Match` (Fig. 3) and `Match+` (Fig. 5).
 
-use ssim_graph::traversal::UNREACHABLE;
-use ssim_graph::{BallScratch, BitSet, CompactBall, Graph, NodeId};
-
-/// How ball membership is computed for the candidate centers of a strong-simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BallStrategy {
-    /// Slide a [`BallForest`] along a locality-ordered center sequence, repairing the
-    /// member distances incrementally between nearby centers.
-    #[default]
-    Incremental,
-    /// Run a fresh bounded BFS for every center (the seed's behaviour). Kept as the
-    /// equivalence oracle and for ablation benches.
-    FreshBfs,
-}
+use ssim_graph::{BitSet, Graph, NodeId};
 
 /// Which graph the ball pipeline traverses when the global dual-simulation filter is on —
-/// the fourth oracle axis, next to [`crate::simulation::RefineStrategy`],
-/// [`BallStrategy`] and [`crate::simulation::RefineSeed`].
+/// an oracle axis next to [`crate::simulation::RefineStrategy`].
 ///
 /// With dual filtering, only *matched* nodes can ever be candidates, support an in-ball
 /// pair or appear in an extracted subgraph. The optimised `Match` of the paper (Fig. 5,
@@ -67,361 +33,13 @@ pub enum BallSubstrate {
     FullGraph,
 }
 
-/// How the forest's last [`BallForest::advance`] moved the ball, with the membership delta
-/// when it is known exactly. Consumers carrying per-ball state across advances (the
-/// warm-started refinement of [`crate::warm`]) key their reuse off this record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BallMove {
-    /// The requested center was already the current one: membership is unchanged.
-    Same,
-    /// The ball slid from an adjacent center; [`BallForest::entered`] and
-    /// [`BallForest::left`] hold the exact membership delta.
-    Slid,
-    /// The ball was rebuilt by a fresh BFS (first ball, far jump, or adaptive back-off).
-    /// Any slide-delta state is stale and has been invalidated — consumers must diff
-    /// memberships themselves or drop their carried state.
-    Rebuilt,
-}
-
-/// Centers farther than this from the current one trigger a fresh rebuild: a shift of `k`
-/// widens every distance bound by `k`, so for `k > 2` the repair pass re-expands most of
-/// the ball and loses to a plain BFS.
-pub const MAX_SLIDE: u32 = 2;
-
-/// Consecutive degenerate slides (a repair that expanded at least as many nodes as a
-/// fresh BFS would have) before the forest backs off to fresh rebuilds.
-const DEGENERATE_STREAK: u32 = 2;
-
-/// First back-off length: how many balls are force-rebuilt before the next probe slide.
-const BACKOFF_START: u32 = 4;
-
-/// Back-off lengths double up to this cap, so on uniformly dense graphs — where sliding
-/// structurally cannot win because adjacent centers keep most distances *equal* and every
-/// equal node must still be re-expanded — the probe overhead decays to under a percent,
-/// while mixed graphs recover sliding within one probe.
-const BACKOFF_MAX: u32 = 64;
-
-/// A sliding radius-`r` ball over a data graph.
-///
-/// The forest owns a `|V|`-sized distance array (allocated once, wiped only at touched
-/// indices) plus the current member list; [`BallForest::advance`] moves the ball to the
-/// next center and [`BallForest::compact`] materialises the current ball as a
-/// [`CompactBall`] for the matching engine.
-#[derive(Debug)]
-pub struct BallForest<'g> {
-    graph: &'g Graph,
-    radius: usize,
-    /// Distance of each graph node from the current center; [`UNREACHABLE`] outside the
-    /// ball. Only entries listed in `members` are ever non-sentinel.
-    dist: Vec<u32>,
-    /// Current ball members, unordered (local ids are member positions at compact time).
-    members: Vec<NodeId>,
-    /// The current center, once the first ball was built.
-    center: Option<NodeId>,
-    /// Per-level bucket queue shared by rebuilds and repairs; always drained after use.
-    buckets: Vec<Vec<NodeId>>,
-    /// Consecutive degenerate slides observed (reset by any productive slide).
-    degenerate_streak: u32,
-    /// Remaining balls to force-rebuild before probing with a slide again.
-    fresh_penalty: u32,
-    /// Length of the next back-off window.
-    backoff: u32,
-    /// How the last `advance` moved the ball (delta validity signal for carried state).
-    last_move: BallMove,
-    /// Nodes that entered the ball during the last slide (exact only when
-    /// `last_move == Slid`; cleared on rebuilds so stale deltas cannot leak).
-    entered: Vec<NodeId>,
-    /// Nodes that left the ball during the last slide (same validity rule).
-    left: Vec<NodeId>,
-    /// Balls built by a fresh bounded BFS.
-    pub built_fresh: usize,
-    /// Balls derived incrementally from the previous center's ball.
-    pub reused: usize,
-}
-
-impl<'g> BallForest<'g> {
-    /// Creates an empty forest for balls of radius `radius` over `graph`.
-    pub fn new(graph: &'g Graph, radius: usize) -> Self {
-        BallForest {
-            graph,
-            radius,
-            dist: vec![UNREACHABLE; graph.node_count()],
-            members: Vec::new(),
-            center: None,
-            buckets: vec![Vec::new(); radius + 2],
-            degenerate_streak: 0,
-            fresh_penalty: 0,
-            backoff: BACKOFF_START,
-            last_move: BallMove::Rebuilt,
-            entered: Vec::new(),
-            left: Vec::new(),
-            built_fresh: 0,
-            reused: 0,
-        }
-    }
-
-    /// Severs the slide chain: wipes the current ball and every piece of adaptive
-    /// back-off state so the next [`BallForest::advance`] rebuilds from scratch, exactly
-    /// as a freshly constructed forest would — without reallocating the `|V|`-sized
-    /// distance array. The chunk scheduler calls this at every chunk boundary (a stolen
-    /// chunk's first center is not adjacent to the previous one), which is what makes
-    /// per-ball behaviour a function of chunk content alone, independent of which worker
-    /// runs the chunk. The cumulative `built_fresh`/`reused` counters are preserved;
-    /// they are harvested once per worker.
-    pub fn reset_chain(&mut self) {
-        for v in self.members.drain(..) {
-            self.dist[v.index()] = UNREACHABLE;
-        }
-        self.center = None;
-        self.degenerate_streak = 0;
-        self.fresh_penalty = 0;
-        self.backoff = BACKOFF_START;
-        self.last_move = BallMove::Rebuilt;
-        self.entered.clear();
-        self.left.clear();
-    }
-
-    /// Whether the adaptive back-off is currently engaged: recent slides degenerated
-    /// (cost ≥ a fresh build) and the forest is rebuilding every ball. This is the chunk
-    /// scheduler's re-split eligibility signal — a degraded chunk has no slide chain
-    /// left to protect, so halving it costs nothing and lets an idle worker share the
-    /// load. Deterministic for a given center sequence.
-    pub fn degraded(&self) -> bool {
-        self.fresh_penalty > 0 || self.backoff > BACKOFF_START
-    }
-
-    /// The ball radius.
-    #[inline]
-    pub fn radius(&self) -> usize {
-        self.radius
-    }
-
-    /// The current center, when a ball has been built.
-    #[inline]
-    pub fn center(&self) -> Option<NodeId> {
-        self.center
-    }
-
-    /// Members of the current ball, in no particular order.
-    #[inline]
-    pub fn members(&self) -> &[NodeId] {
-        &self.members
-    }
-
-    /// Distance of `node` from the current center, when inside the current ball.
-    pub fn distance(&self, node: NodeId) -> Option<usize> {
-        match self.dist.get(node.index()) {
-            Some(&d) if d != UNREACHABLE => Some(d as usize),
-            _ => None,
-        }
-    }
-
-    /// How the last [`BallForest::advance`] moved the ball.
-    #[inline]
-    pub fn last_move(&self) -> BallMove {
-        self.last_move
-    }
-
-    /// Nodes that entered the ball during the last advance. Exact only when
-    /// [`BallForest::last_move`] is [`BallMove::Slid`] (empty for `Same`, invalidated —
-    /// cleared — for `Rebuilt`).
-    #[inline]
-    pub fn entered(&self) -> &[NodeId] {
-        &self.entered
-    }
-
-    /// Nodes that left the ball during the last advance, under the same validity rule as
-    /// [`BallForest::entered`].
-    #[inline]
-    pub fn left(&self) -> &[NodeId] {
-        &self.left
-    }
-
-    /// Moves the ball to `center`, incrementally when the new center lies within
-    /// [`MAX_SLIDE`] of the current one and freshly otherwise. Returns `true` when the
-    /// move reused the previous ball.
-    ///
-    /// # Panics
-    /// Panics when `center` is not a node of the forest's graph.
-    pub fn advance(&mut self, center: NodeId) -> bool {
-        assert!(
-            self.graph.contains_node(center),
-            "ball center {center} out of range"
-        );
-        let slide = match self.center {
-            Some(prev) if prev == center => {
-                self.reused += 1; // already there: built_fresh + reused == advances
-                self.entered.clear();
-                self.left.clear();
-                self.last_move = BallMove::Same;
-                return true;
-            }
-            Some(_) if self.fresh_penalty > 0 => {
-                // Recent slides degenerated (dense neighbourhood); sit out this window.
-                self.fresh_penalty -= 1;
-                None
-            }
-            Some(_) => match self.dist[center.index()] {
-                UNREACHABLE => None,
-                k if k <= MAX_SLIDE => Some(k),
-                _ => None,
-            },
-            None => None,
-        };
-        match slide {
-            Some(k) => {
-                self.slide(center, k);
-                self.reused += 1;
-                true
-            }
-            None => {
-                self.rebuild(center);
-                self.built_fresh += 1;
-                false
-            }
-        }
-    }
-
-    /// Materialises the current ball as a [`CompactBall`], reusing `scratch` for the
-    /// global→local map exactly like [`CompactBall::build`].
-    ///
-    /// # Panics
-    /// Panics when no ball has been built yet.
-    pub fn compact(&self, scratch: &mut BallScratch) -> CompactBall {
-        let center = self.center.expect("advance before compact");
-        CompactBall::from_parts_by(
-            self.graph,
-            center,
-            self.radius,
-            &self.members,
-            |v, _| self.dist[v.index()],
-            scratch,
-        )
-    }
-
-    /// Fresh bounded BFS from `center`, wiping the previous ball's touched entries first.
-    ///
-    /// Also invalidates the slide-delta tracking (`entered`/`left`): a rebuild — whether
-    /// forced by a far jump or by the adaptive back-off — discards the incremental
-    /// relationship to the previous ball, so any relation state carried against the old
-    /// delta must not be translated through it. Carried-state consumers observe
-    /// [`BallMove::Rebuilt`] and fall back to a full membership diff (or a reset).
-    fn rebuild(&mut self, center: NodeId) {
-        self.entered.clear();
-        self.left.clear();
-        self.last_move = BallMove::Rebuilt;
-        let graph = self.graph;
-        for &v in &self.members {
-            self.dist[v.index()] = UNREACHABLE;
-        }
-        self.members.clear();
-        self.dist[center.index()] = 0;
-        self.members.push(center);
-        self.buckets[0].push(center);
-        for level in 0..=self.radius {
-            while let Some(v) = self.buckets[level].pop() {
-                if level == self.radius {
-                    continue;
-                }
-                for w in graph.out_neighbors(v).chain(graph.in_neighbors(v)) {
-                    if self.dist[w.index()] == UNREACHABLE {
-                        self.dist[w.index()] = level as u32 + 1;
-                        self.members.push(w);
-                        self.buckets[level + 1].push(w);
-                    }
-                }
-            }
-        }
-        self.center = Some(center);
-    }
-
-    /// Incremental move to a center at distance `k` from the current one.
-    ///
-    /// Shifts every stored distance up by `k` (a valid upper bound on the new distance by
-    /// the triangle inequality), then repairs with a level-bucket queue: a node is
-    /// (re-)expanded only when its distance estimate strictly improves, so the work is
-    /// proportional to the nodes that moved *closer* plus the nodes entering the ball —
-    /// not the whole ball. Nodes whose shifted bound ends up beyond the radius are
-    /// dropped at the end.
-    ///
-    /// The repair counts its expansions against the interior size (what a fresh BFS would
-    /// have expanded); slides that save nothing feed the back-off so dense regions fall
-    /// back to rebuilds after [`DEGENERATE_STREAK`] wasted repairs.
-    fn slide(&mut self, center: NodeId, k: u32) {
-        debug_assert!(k > 0 && self.dist[center.index()] == k);
-        let graph = self.graph;
-        let radius = self.radius as u32;
-        self.entered.clear();
-        self.left.clear();
-        self.last_move = BallMove::Slid;
-        for &v in &self.members {
-            self.dist[v.index()] += k;
-        }
-        self.dist[center.index()] = 0;
-        self.buckets[0].push(center);
-        let mut expanded = 0usize;
-        for level in 0..=self.radius {
-            while let Some(v) = self.buckets[level].pop() {
-                if self.dist[v.index()] as usize != level {
-                    continue; // stale entry: improved again after this push
-                }
-                if level == self.radius {
-                    continue; // border nodes reach only outside the ball
-                }
-                expanded += 1;
-                let cand = level as u32 + 1;
-                for w in graph.out_neighbors(v).chain(graph.in_neighbors(v)) {
-                    let dw = self.dist[w.index()];
-                    if dw > cand {
-                        if dw == UNREACHABLE {
-                            self.members.push(w); // entering the ball
-                            self.entered.push(w);
-                        }
-                        self.dist[w.index()] = cand;
-                        self.buckets[level + 1].push(w);
-                    }
-                }
-            }
-        }
-        let mut members = std::mem::take(&mut self.members);
-        let mut interior = 0usize;
-        let left = &mut self.left;
-        members.retain(|&v| {
-            let d = self.dist[v.index()];
-            if d <= radius {
-                interior += usize::from(d < radius);
-                true
-            } else {
-                self.dist[v.index()] = UNREACHABLE; // left the ball
-                left.push(v);
-                false
-            }
-        });
-        self.members = members;
-        self.center = Some(center);
-        // A fresh BFS expands every interior node; a slide that expanded as many saved
-        // nothing and paid the shift/retain overhead on top.
-        if expanded >= interior {
-            self.degenerate_streak += 1;
-            if self.degenerate_streak >= DEGENERATE_STREAK {
-                self.degenerate_streak = 0;
-                self.fresh_penalty = self.backoff;
-                self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
-            }
-        } else {
-            self.degenerate_streak = 0;
-            self.backoff = BACKOFF_START;
-        }
-    }
-}
-
 /// Orders `centers` along an undirected BFS traversal of `graph`, so that consecutive
-/// centers are usually adjacent and a [`BallForest`] can slide instead of rebuilding.
+/// centers are usually adjacent.
 ///
 /// The traversal starts at the smallest node id and restarts at the smallest unvisited id
 /// per component, making the order deterministic. Returns exactly the nodes of `centers`
 /// (a permutation of it); centers filtered out upstream (e.g. by the global
-/// dual-simulation filter) simply leave gaps the forest bridges or rebuilds across.
+/// dual-simulation filter) simply leave gaps in the traversal.
 pub fn locality_center_order(graph: &Graph, centers: &[NodeId]) -> Vec<NodeId> {
     let mut wanted = BitSet::new(graph.node_count());
     for &c in centers {
@@ -454,7 +72,7 @@ pub fn locality_center_order(graph: &Graph, centers: &[NodeId]) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssim_graph::{Ball, Label};
+    use ssim_graph::Label;
 
     fn line(n: u32) -> Graph {
         Graph::from_edges(
@@ -462,95 +80,6 @@ mod tests {
             &(0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>(),
         )
         .unwrap()
-    }
-
-    /// Compares the forest's current ball against a fresh [`Ball`] (members + distances).
-    fn assert_matches_fresh(forest: &BallForest<'_>, graph: &Graph, center: NodeId) {
-        let fresh = Ball::new(graph, center, forest.radius());
-        let mut got: Vec<NodeId> = forest.members().to_vec();
-        got.sort_unstable();
-        let mut want: Vec<NodeId> = fresh.members().to_vec();
-        want.sort_unstable();
-        assert_eq!(got, want, "members of ball({center}, {})", forest.radius());
-        for &v in fresh.members() {
-            assert_eq!(forest.distance(v), fresh.distance(v), "distance of {v}");
-        }
-    }
-
-    #[test]
-    fn sliding_along_a_line_matches_fresh_bfs() {
-        let g = line(30);
-        let mut forest = BallForest::new(&g, 3);
-        for i in 0..30 {
-            let reused = forest.advance(NodeId(i));
-            assert_eq!(reused, i != 0, "center {i}");
-            assert_matches_fresh(&forest, &g, NodeId(i));
-        }
-        assert_eq!(forest.built_fresh, 1);
-        assert_eq!(forest.reused, 29);
-    }
-
-    #[test]
-    fn jumping_far_falls_back_to_fresh_bfs() {
-        let g = line(40);
-        let mut forest = BallForest::new(&g, 2);
-        assert!(!forest.advance(NodeId(0)));
-        assert!(
-            !forest.advance(NodeId(30)),
-            "jump outside the ball rebuilds"
-        );
-        assert_matches_fresh(&forest, &g, NodeId(30));
-        assert!(forest.advance(NodeId(32)), "distance 2 slides");
-        assert_matches_fresh(&forest, &g, NodeId(32));
-        assert_eq!((forest.built_fresh, forest.reused), (2, 1));
-    }
-
-    #[test]
-    fn sliding_backwards_and_repeating_centers() {
-        let g = line(12);
-        let mut forest = BallForest::new(&g, 2);
-        for &i in &[5u32, 6, 5, 5, 4, 3, 4] {
-            forest.advance(NodeId(i));
-            assert_matches_fresh(&forest, &g, NodeId(i));
-        }
-    }
-
-    #[test]
-    fn radius_zero_always_rebuilds_single_node_balls() {
-        let g = line(5);
-        let mut forest = BallForest::new(&g, 0);
-        for i in 0..5 {
-            assert!(!forest.advance(NodeId(i)));
-            assert_eq!(forest.members(), &[NodeId(i)]);
-        }
-        assert_eq!(forest.built_fresh, 5);
-    }
-
-    #[test]
-    fn compact_ball_from_forest_matches_direct_build() {
-        let g = line(20);
-        let mut forest = BallForest::new(&g, 2);
-        let mut scratch = BallScratch::new();
-        let mut direct_scratch = BallScratch::new();
-        for i in 0..20 {
-            forest.advance(NodeId(i));
-            let ball = forest.compact(&mut scratch);
-            let direct = CompactBall::build(&g, NodeId(i), 2, &mut direct_scratch);
-            assert_eq!(ball.node_count(), direct.node_count());
-            assert_eq!(ball.center_global(), NodeId(i));
-            assert_eq!(ball.global_of(ball.center()), NodeId(i));
-            let mut got: Vec<NodeId> = ball.border().iter().map(|&l| ball.global_of(l)).collect();
-            got.sort_unstable();
-            let mut want: Vec<NodeId> = direct
-                .border()
-                .iter()
-                .map(|&l| direct.global_of(l))
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "border of ball({i})");
-            ball.recycle(&mut scratch);
-            direct.recycle(&mut direct_scratch);
-        }
     }
 
     #[test]
@@ -566,91 +95,6 @@ mod tests {
             let (a, b) = (pair[0].0 as i64, pair[1].0 as i64);
             assert_eq!((a - b).abs(), 1, "consecutive centers {a},{b}");
         }
-    }
-
-    #[test]
-    fn slide_delta_tracks_entered_and_left_exactly() {
-        let g = line(30);
-        let mut forest = BallForest::new(&g, 3);
-        forest.advance(NodeId(10));
-        assert_eq!(forest.last_move(), BallMove::Rebuilt);
-        assert!(forest.entered().is_empty() && forest.left().is_empty());
-        // Slide 10 -> 11 on a line with radius 3: node 7 leaves, node 14 enters.
-        forest.advance(NodeId(11));
-        assert_eq!(forest.last_move(), BallMove::Slid);
-        assert_eq!(forest.entered(), &[NodeId(14)]);
-        assert_eq!(forest.left(), &[NodeId(7)]);
-        // Same center again: delta is empty but valid.
-        forest.advance(NodeId(11));
-        assert_eq!(forest.last_move(), BallMove::Same);
-        assert!(forest.entered().is_empty() && forest.left().is_empty());
-        // The delta always reconciles the previous member set with the current one.
-        let before: Vec<NodeId> = {
-            let mut m = forest.members().to_vec();
-            m.sort_unstable();
-            m
-        };
-        forest.advance(NodeId(13));
-        let mut expect: Vec<NodeId> = before
-            .iter()
-            .copied()
-            .filter(|v| !forest.left().contains(v))
-            .chain(forest.entered().iter().copied())
-            .collect();
-        expect.sort_unstable();
-        let mut got = forest.members().to_vec();
-        got.sort_unstable();
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn rebuild_invalidates_slide_delta() {
-        let g = line(40);
-        let mut forest = BallForest::new(&g, 2);
-        forest.advance(NodeId(0));
-        forest.advance(NodeId(1));
-        assert_eq!(forest.last_move(), BallMove::Slid);
-        assert!(!forest.entered().is_empty());
-        // A far jump rebuilds and must clear the stale slide delta.
-        forest.advance(NodeId(30));
-        assert_eq!(forest.last_move(), BallMove::Rebuilt);
-        assert!(
-            forest.entered().is_empty() && forest.left().is_empty(),
-            "rebuild left a stale slide delta behind"
-        );
-    }
-
-    #[test]
-    fn backoff_rebuilds_report_rebuilt_moves() {
-        // A complete-ish dense graph makes every slide degenerate: after
-        // DEGENERATE_STREAK slides the forest backs off and the forced rebuilds must
-        // report Rebuilt (carried relation state hinges on this signal).
-        let n = 12u32;
-        let mut edges = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    edges.push((i, j));
-                }
-            }
-        }
-        let g = Graph::from_edges(vec![Label(0); n as usize], &edges).unwrap();
-        let mut forest = BallForest::new(&g, 1);
-        let mut saw_backoff_rebuild = false;
-        let mut prev_contained_next = false;
-        for i in 0..n {
-            let reused = forest.advance(NodeId(i));
-            if !reused && i > 0 && prev_contained_next {
-                // The center was inside the previous ball yet the forest rebuilt:
-                // that is the back-off, and the move must say so.
-                assert_eq!(forest.last_move(), BallMove::Rebuilt);
-                assert!(forest.entered().is_empty() && forest.left().is_empty());
-                saw_backoff_rebuild = true;
-            }
-            prev_contained_next = forest.distance(NodeId((i + 1) % n)).is_some();
-            assert_matches_fresh(&forest, &g, NodeId(i));
-        }
-        assert!(saw_backoff_rebuild, "dense graph never triggered back-off");
     }
 
     #[test]

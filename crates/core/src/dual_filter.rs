@@ -53,8 +53,8 @@ pub fn refine_projected<V: AdjView>(
     }
 }
 
-/// The removal-propagation core shared by [`refine_projected`] and the warm-started
-/// per-ball refinement ([`crate::warm`]): verifies every *suspect* pair against the
+/// The removal-propagation core shared by [`refine_projected`], the incremental global
+/// fixpoint and the repetition closure: verifies every *suspect* pair against the
 /// current relation, removes the unsupported ones and cascades each removal to the
 /// neighbouring pairs whose support it carried, until a fixpoint.
 ///
@@ -62,8 +62,8 @@ pub fn refine_projected<V: AdjView>(
 /// `suspects` covers every pair that is unsupported w.r.t. the starting relation — pairs
 /// whose support is intact at the start can only become invalid through a removal, and
 /// the cascade re-checks exactly those. Unlike the worklist engine this never exits early
-/// on an emptied candidate set: callers that carry the result across balls need the true
-/// fixpoint, not a partially drained relation.
+/// on an emptied candidate set: callers that keep the result (the maintained global
+/// fixpoint) need the true fixpoint, not a partially drained relation.
 pub(crate) fn refine_suspects<V: AdjView>(
     pattern: &Pattern,
     view: &V,

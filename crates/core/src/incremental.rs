@@ -17,7 +17,7 @@
 //!    possibly have revived, which is then re-verified by the same suspect cascade.
 //!    The closure is exact — a superset of the true fixpoint gain (see
 //!    [`update_global_fixpoint`] for the argument) — and budgeted: floods fall back to a
-//!    from-scratch fixpoint, mirroring the warm matcher's flood bail.
+//!    from-scratch fixpoint.
 //! 2. **`Gm` re-extraction policy.** The match-graph substrate re-extracts `Gm` only
 //!    when the matched-node set changed or a delta edge lands inside it; otherwise the
 //!    cached extraction (and its id translation) is reused. Its candidate adjacency
@@ -31,7 +31,7 @@
 //!    insertions; `Gm` extractions on the match-graph substrate). Everything outside
 //!    the sweeps is provably bit-identical.
 //! 4. **Row splicing.** Only dirty centers re-run through the (unchanged) ball
-//!    pipeline — forest slides, warm carries, pruning, extraction — via
+//!    pipeline — fresh balls, refinement, pruning, extraction — via
 //!    [`crate::strong::match_with_prepared`]; their rows are spliced into the cached
 //!    pre-deduplication row set, and deduplication is re-applied over the splice, so the
 //!    assembled [`MatchOutput`] is bit-identical to a full recompute.
@@ -40,7 +40,7 @@
 //! [`crate::strong::MatchConfig::seed_reference`]): it applies the delta and re-runs the
 //! full matcher. `tests/incremental_update_equivalence.rs` holds both plans bit-identical
 //! along random delta streams, across the sequential, parallel and distributed runtimes,
-//! with the other four engine axes pinned and composed.
+//! with the other three engine axes pinned and composed.
 
 use crate::ball::BallSubstrate;
 use crate::dual::global_dual_simulation;
@@ -61,8 +61,8 @@ use ssim_graph::{
 };
 use std::collections::VecDeque;
 
-/// How a cached match result reacts to a graph delta — the fifth oracle axis, next to
-/// `RefineStrategy × BallStrategy × RefineSeed × BallSubstrate`.
+/// How a cached match result reacts to a graph delta — an oracle axis next to
+/// `RefineStrategy × BallSubstrate × RepetitionSemantics`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UpdatePlan {
     /// Maintain the global relation under the delta, invalidate only the dirty balls
@@ -902,10 +902,10 @@ impl IncrementalMatcher {
                     ..self.config
                 };
                 let n = state.data.node_count();
-                // Adaptive dirty-fraction bail, mirroring the forest/warm flood
-                // back-offs: when the delta invalidates nearly every ball, region
-                // extraction + splicing costs more than the unrestricted pass it would
-                // orchestrate, so run from scratch and replace the cache wholesale.
+                // Adaptive dirty-fraction bail: when the delta invalidates nearly every
+                // ball, region extraction + splicing costs more than the unrestricted
+                // pass it would orchestrate, so run from scratch and replace the cache
+                // wholesale.
                 let bailed = effect.dirty.len() > (DIRTY_BAIL_FRACTION * n as f64) as usize;
                 if bailed {
                     let out = run_pass(&self.pattern, state, &run_cfg, None);

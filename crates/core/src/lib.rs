@@ -68,9 +68,8 @@ pub mod service;
 pub mod simulation;
 pub mod strong;
 pub mod topology;
-pub mod warm;
 
-pub use ball::{locality_center_order, BallForest, BallMove, BallStrategy, BallSubstrate};
+pub use ball::{locality_center_order, BallSubstrate};
 pub use dual::{dual_simulates, dual_simulation, dual_simulation_with};
 pub use gm::GmSubstrate;
 pub use incremental::{IncrementalMatcher, PreparedGlobal, UpdatePlan, UpdateStats};
@@ -84,8 +83,5 @@ pub use repetition::{
 pub use service::{
     BuilderError, PatternBuilder, QueryId, QueryService, QueryUpdate, ServiceUpdate, SharingStats,
 };
-pub use simulation::{
-    graph_simulation, graph_simulation_with, simulates, RefineSeed, RefineStrategy,
-};
+pub use simulation::{graph_simulation, graph_simulation_with, simulates, RefineStrategy};
 pub use strong::{strong_simulation, MatchConfig, MatchOutput, MatchStats};
-pub use warm::{WarmMatcher, WarmStats};

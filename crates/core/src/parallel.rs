@@ -5,17 +5,12 @@
 //! result, and results are returned **in worker order** so callers can merge
 //! deterministically.
 //!
-//! Work distribution is chunked: [`chunk_plan`] cuts an index range into
-//! locality-contiguous chunks whose boundaries depend only on the range length (never on
-//! the thread count), and [`StealScheduler`] deals those chunks to per-worker deques from
-//! which idle workers steal *whole chunks*. Contiguity within a chunk is what the
-//! sliding-ball engine needs — only consecutive centers let a
-//! [`crate::ball::BallForest`] reuse the previous ball and a
-//! [`crate::warm::WarmMatcher`] carry its converged relation — so stealing moves the
-//! unit that keeps both intact. Because the chunk boundaries are thread-count
-//! independent, every per-chunk decision (including re-splits driven by forest state) is
-//! a function of the input alone, which is how `MatchOutput` stays bit-identical across
-//! thread counts.
+//! Work distribution is chunked: [`chunk_plan`] cuts an index range into contiguous
+//! chunks whose boundaries depend only on the range length (never on the thread count),
+//! and [`StealScheduler`] deals those chunks to per-worker deques from which idle workers
+//! steal *whole chunks*. Chunks amortise the scheduler's locking over many balls. Each
+//! ball is evaluated independently of the others, so the worker that runs a chunk never
+//! changes its rows: that is how `MatchOutput` stays bit-identical across thread counts.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -142,14 +137,13 @@ pub fn contiguous(len: usize, threads: usize, t: usize) -> Range<usize> {
     start.min(len)..end.min(len)
 }
 
-/// Smallest chunk the planner emits (and the floor below which a degraded chunk is not
-/// re-split further): big enough that a slide chain can amortise its first fresh build.
+/// Smallest chunk the planner emits: big enough to amortise a scheduler lock.
 pub const MIN_CHUNK: usize = 16;
 /// Largest chunk the planner emits: small enough that stealing can rebalance a skewed
 /// corpus even at low thread counts.
 pub const MAX_CHUNK: usize = 256;
 /// Target chunks-per-input divisor: ~64 chunks for large inputs keeps steal granularity
-/// fine without drowning small inputs in per-chunk forest resets.
+/// fine without drowning small inputs in per-chunk scheduling.
 const CHUNK_DIVISOR: usize = 64;
 
 /// Cuts `0..len` into locality-contiguous chunks of ~`len / 64` consecutive indices
@@ -157,8 +151,8 @@ const CHUNK_DIVISOR: usize = 64;
 ///
 /// The plan depends only on `len` — **never** on the thread count — so every consumer
 /// sees the same chunk boundaries whether it runs sequentially or on any pool size.
-/// That invariance is what keeps per-chunk state resets (and therefore `MatchStats`)
-/// bit-identical across thread counts.
+/// That invariance is what keeps the chunk counters of `MatchStats` bit-identical across
+/// thread counts.
 pub fn chunk_plan(len: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
@@ -173,9 +167,8 @@ pub fn chunk_plan(len: usize) -> Vec<Range<usize>> {
 /// Each worker owns a deque seeded with a contiguous block of the item list (so worker
 /// `t`'s initial items are the same ones [`contiguous`] would have handed it). A worker
 /// drains its own deque from the front; when empty it steals from the *back* of the
-/// longest other deque — the back is the victim's coldest work, so the victim keeps the
-/// items adjacent to its active slide chain. Items pushed mid-run (chunk re-splits) are
-/// stealable like any other.
+/// longest other deque — the back is the victim's coldest work, far from the items it
+/// is running.
 ///
 /// The scheduler only hands out *which* items run *where*; item content never depends on
 /// scheduling, so results stay deterministic however the steals fall.
@@ -198,12 +191,6 @@ impl<T> StealScheduler<T> {
         StealScheduler {
             queues: queues.into_iter().map(Mutex::new).collect(),
         }
-    }
-
-    /// Appends an item to `worker`'s own deque (used for chunk re-splits); it runs after
-    /// the worker's current items unless stolen first.
-    pub fn push(&self, worker: usize, item: T) {
-        lock_deque(&self.queues[worker]).push_back(item);
     }
 
     /// The next item for `worker`: its own deque's front, else one stolen from the back
@@ -362,18 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn pushed_items_are_scheduled() {
-        let scheduler = StealScheduler::new(2, vec![10, 20]);
-        scheduler.push(0, 30);
-        let mut seen = Vec::new();
-        while let Some(next) = scheduler.next(0) {
-            seen.push(next);
-        }
-        // Own deque in push order first, then the lone drain-everything steal.
-        assert_eq!(seen, vec![(10, false), (30, false), (20, true)]);
-    }
-
-    #[test]
     fn scheduler_survives_a_poisoned_deque() {
         // A worker panicking while holding a deque guard poisons the Mutex; the
         // scheduler must recover the guard (the VecDeque is always valid) so the
@@ -385,15 +360,14 @@ mod tests {
         }));
         assert!(poison.is_err());
         assert!(scheduler.queues[0].is_poisoned());
-        // Owner pops, pushes and steals all still work on the poisoned deque.
+        // Owner pops and steals both still work on the poisoned deque.
         assert_eq!(scheduler.next(0), Some((1, false)));
-        scheduler.push(0, 5);
         let mut drained = Vec::new();
-        for worker in [1, 1, 1, 0] {
+        for worker in [1, 1, 1] {
             drained.push(scheduler.next(worker).expect("items remain").0);
         }
         drained.sort_unstable();
-        assert_eq!(drained, vec![2, 3, 4, 5]);
+        assert_eq!(drained, vec![2, 3, 4]);
         assert_eq!(scheduler.next(0), None);
         assert_eq!(scheduler.next(1), None);
     }

@@ -1,4 +1,4 @@
-//! Label-repetition matching semantics — the sixth oracle axis.
+//! Label-repetition matching semantics — the fourth oracle axis.
 //!
 //! The paper's strong simulation deliberately relaxes injectivity: two distinct pattern
 //! nodes with equal labels may match the *same* data node, which is exactly why
@@ -43,8 +43,8 @@
 //! under `Free`) and [`RepetitionOutcome::bailed`] is reported, surfaced as
 //! `MatchStats::repetition_bailed_balls`. The precondition reads only candidate-set sizes
 //! of the converged relation — which every engine shape computes bit-identically — so the
-//! bail decision, and hence the output, is identical across modes, substrates and
-//! warm/scratch seeding. Callers needing guaranteed enforcement must check the counter.
+//! bail decision, and hence the output, is identical across modes and substrates.
+//! Callers needing guaranteed enforcement must check the counter.
 //!
 //! # Two implementations, one fixpoint
 //!
@@ -60,13 +60,13 @@
 //! A marked pair provably has a witness and an unmarked pair is decided by its own
 //! search, so both modes remove the same pair set in every closure iteration and arrive
 //! at the same fixpoint — `tests/repetition_equivalence.rs` pins the outputs (and the
-//! repetition counters) bit-identical across the sampled six-axis matrix.
+//! repetition counters) bit-identical across the sampled four-axis matrix.
 
 use crate::dual_filter::{pair_supported, refine_suspects};
 use crate::relation::MatchRelation;
 use ssim_graph::{AdjView, NodeId, Pattern};
 
-/// How equal-labelled pattern nodes may be realised by data nodes. The sixth oracle axis
+/// How equal-labelled pattern nodes may be realised by data nodes. The fourth oracle axis
 /// on `MatchConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RepetitionSemantics {

@@ -166,30 +166,6 @@ pub enum RefineStrategy {
     NaiveFixpoint,
 }
 
-/// How the per-ball refinement of the sliding-ball engine is *seeded* — the third oracle
-/// axis next to [`RefineStrategy`] (which fixpoint algorithm) and
-/// [`crate::ball::BallStrategy`] (how ball membership is produced).
-///
-/// The maximum dual-simulation relation inside a ball is unique, so both variants converge
-/// to bit-identical per-node candidate sets; the differential suite in
-/// `tests/refine_warm_equivalence.rs` pins them against each other. The axis only takes
-/// effect on the compact sliding-ball path (`compact_balls` with
-/// [`crate::ball::BallStrategy::Incremental`]) — every other engine shape refines from
-/// scratch by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefineSeed {
-    /// Carry the previous ball's converged relation across the slide, translate it
-    /// through the compact-index remap, re-open candidates only where the membership
-    /// delta can have created support, and re-verify only the delta-seeded pairs
-    /// ([`crate::warm`]).
-    #[default]
-    WarmStart,
-    /// Refine every ball from its full label-based (or dual-filter-projected) candidate
-    /// sets, ignoring the previous ball. Kept as the equivalence oracle and as the
-    /// baseline the `refine_warm` bench ratios are measured against.
-    FromScratch,
-}
-
 /// Iteratively removes candidates that violate the simulation conditions until a fixpoint is
 /// reached. Returns the refined relation (which may have empty candidate sets).
 ///

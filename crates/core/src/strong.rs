@@ -13,7 +13,7 @@
 //!
 //! # Engine
 //!
-//! Independent of the paper-level optimisations, the engine has five performance layers,
+//! Independent of the paper-level optimisations, the engine has four performance layers,
 //! each with a seed-compatible fallback kept for ablation and as an equivalence oracle:
 //!
 //! * **worklist refinement** ([`RefineStrategy::Worklist`]) — counter-based incremental
@@ -21,34 +21,24 @@
 //! * **ball-local compact indexing** (`compact_balls`) — each ball is remapped to dense ids
 //!   `0..|ball|` ([`CompactBall`]) so relations, counters and adjacency are ball-sized
 //!   instead of `|V|`-sized,
-//! * **incremental ball construction** ([`BallStrategy::Incremental`]) — candidate centers
-//!   are walked in locality order and each worker slides one [`crate::ball::BallForest`]
-//!   ball along its range, repairing distances between adjacent centers instead of
-//!   re-running a BFS per center ([`BallStrategy::FreshBfs`] is the oracle),
-//! * **warm-started refinement** ([`RefineSeed::WarmStart`]) — on the sliding path each
-//!   worker also carries the previous ball's converged relation and incrementally
-//!   maintained match graph across the slide ([`crate::warm`]), re-verifying only the
-//!   membership delta instead of refining from scratch ([`RefineSeed::FromScratch`] is
-//!   the oracle),
-//! * **parallel ball processing** (`parallel`) — the center order is cut into
-//!   locality-contiguous chunks ([`crate::parallel::chunk_plan`], a function of the
+//! * **parallel ball processing** (`parallel`) — the centers, in ascending id order, are
+//!   cut into contiguous chunks ([`crate::parallel::chunk_plan`], a function of the
 //!   center count alone) and fanned out over scoped worker threads through a
-//!   work-stealing scheduler ([`crate::parallel::StealScheduler`]): each worker keeps
-//!   its ball forest and warm carry intact *within* a chunk, resets them at every chunk
-//!   boundary, and idle workers steal whole chunks; subgraphs are re-sorted by center id
-//!   and stats merged by summation, so the output — including every counter except the
-//!   scheduling-dependent `chunks_stolen` — is bit-identical to the sequential run at
-//!   any thread count,
+//!   work-stealing scheduler ([`crate::parallel::StealScheduler`]). Every ball is built
+//!   by its own bounded BFS and refined from scratch, so a ball's rows depend on its
+//!   center alone; subgraphs are re-sorted by center id and stats merged by summation,
+//!   so the output — including every counter except the scheduling-dependent
+//!   `chunks_stolen` — is bit-identical to the sequential run at any thread count,
 //! * **match-graph ball substrate** ([`BallSubstrate::MatchGraph`]) — with `dual_filter`
 //!   on, the matched-node set is extracted once as a dense renumbered subgraph `Gm`
-//!   ([`ssim_graph::ExtractedSubgraph`]) and the entire ball pipeline — locality order,
-//!   forest slides, compact balls, warm carries, extraction — runs inside it,
-//!   translating ids back only at [`PerfectSubgraph`] emission
-//!   ([`BallSubstrate::FullGraph`] is the oracle). Connectivity pruning is the identity
-//!   on `Gm` balls and is skipped; balls refined from scratch read the query's candidate
-//!   adjacency ([`crate::gm::GmSubstrate`]) instead of the raw `Gm` CSR.
+//!   ([`ssim_graph::ExtractedSubgraph`]) and the entire ball pipeline — ball
+//!   construction, refinement, extraction — runs inside it, translating ids back only at
+//!   [`PerfectSubgraph`] emission ([`BallSubstrate::FullGraph`] is the oracle).
+//!   Connectivity pruning is the identity on `Gm` balls and is skipped; their refinement
+//!   and extraction read the query's candidate adjacency ([`crate::gm::GmSubstrate`])
+//!   instead of the raw `Gm` CSR.
 
-use crate::ball::{locality_center_order, BallForest, BallStrategy, BallSubstrate};
+use crate::ball::BallSubstrate;
 use crate::dual::{dual_simulation_with, refine_dual_with};
 use crate::dual_filter::refine_projected;
 use crate::gm::{match_gm_ball, GmSubstrate};
@@ -63,8 +53,7 @@ use crate::relation::MatchRelation;
 use crate::repetition::{
     enforce_repetition, RepetitionMode, RepetitionOutcome, RepetitionSemantics,
 };
-use crate::simulation::{initial_candidates, RefineSeed, RefineStrategy};
-use crate::warm::WarmMatcher;
+use crate::simulation::{initial_candidates, RefineStrategy};
 use ssim_graph::{
     Ball, BallScratch, BitSet, CompactBall, ExtractedSubgraph, Graph, NodeId, Pattern,
 };
@@ -99,15 +88,6 @@ pub struct MatchConfig {
     /// Remap each ball to dense local ids and match over ball-sized bitsets. Disabling
     /// falls back to the seed's `|V|`-sized relations over membership-filtered views.
     pub compact_balls: bool,
-    /// How ball membership is produced: a sliding incremental [`BallForest`] per worker
-    /// (the default) or a fresh BFS per center (the seed's behaviour, kept as the
-    /// equivalence oracle). Only effective together with `compact_balls`; the legacy
-    /// `|V|`-sized path always builds fresh balls.
-    pub ball_strategy: BallStrategy,
-    /// How the per-ball refinement is seeded on the sliding-ball path: warm-started from
-    /// the previous ball's converged relation (the default) or from scratch (the
-    /// equivalence oracle, and the only behaviour of every non-sliding engine shape).
-    pub refine_seed: RefineSeed,
     /// Which graph the ball pipeline traverses when `dual_filter` is on: the extracted
     /// match graph `Gm` (the default — Fig. 5's ball substrate) or the full data graph
     /// (the pre-extraction behaviour, kept as the equivalence oracle). Ignored without
@@ -118,7 +98,7 @@ pub struct MatchConfig {
     /// or recompute the whole match from scratch (the equivalence oracle). One-shot
     /// [`strong_simulation`] calls ignore the axis — there is no cached state to update.
     pub update_plan: UpdatePlan,
-    /// How equal-labelled pattern nodes may be realised by data nodes — the sixth oracle
+    /// How equal-labelled pattern nodes may be realised by data nodes — the fourth oracle
     /// axis. [`RepetitionSemantics::Free`] is the paper's behaviour (and the seed
     /// reference); `Distinct`/`Equal` run the per-ball repetition closure of
     /// [`crate::repetition`] after refinement converges (subject to its budget/bail
@@ -144,8 +124,6 @@ impl Default for MatchConfig {
             parallel: true,
             thread_limit: None,
             compact_balls: true,
-            ball_strategy: BallStrategy::Incremental,
-            refine_seed: RefineSeed::WarmStart,
             ball_substrate: BallSubstrate::MatchGraph,
             update_plan: UpdatePlan::Incremental,
             repetition: RepetitionSemantics::Free,
@@ -177,8 +155,6 @@ impl MatchConfig {
             refine_strategy: RefineStrategy::NaiveFixpoint,
             parallel: false,
             compact_balls: false,
-            ball_strategy: BallStrategy::FreshBfs,
-            refine_seed: RefineSeed::FromScratch,
             ball_substrate: BallSubstrate::FullGraph,
             update_plan: UpdatePlan::Recompute,
             ..Self::default()
@@ -214,18 +190,6 @@ impl MatchConfig {
     /// Selects the refinement engine.
     pub fn with_refine_strategy(mut self, strategy: RefineStrategy) -> Self {
         self.refine_strategy = strategy;
-        self
-    }
-
-    /// Selects how balls are constructed.
-    pub fn with_ball_strategy(mut self, strategy: BallStrategy) -> Self {
-        self.ball_strategy = strategy;
-        self
-    }
-
-    /// Selects how the per-ball refinement is seeded on the sliding-ball path.
-    pub fn with_refine_seed(mut self, seed: RefineSeed) -> Self {
-        self.refine_seed = seed;
         self
     }
 
@@ -267,22 +231,17 @@ pub struct MatchStats {
     pub balls_with_invalid_matches: usize,
     /// Total `(u, v)` pairs removed by the per-ball dual filter.
     pub filter_removed_pairs: usize,
-    /// Balls constructed by a fresh bounded BFS.
+    /// Balls constructed by a bounded BFS: every ball is built fresh, so this equals
+    /// `balls_processed`.
     pub balls_built: usize,
-    /// Balls derived incrementally from the previous center's ball
-    /// ([`BallStrategy::Incremental`] only; `balls_built + balls_reused ==
-    /// balls_processed`).
+    /// Always 0: every ball is built fresh. Kept only until the benchmark's trace stops
+    /// reading it (`ball.reused_frac`).
     pub balls_reused: usize,
-    /// Balls whose refinement was warm-started from the previous ball's converged
-    /// relation ([`RefineSeed::WarmStart`] on the sliding path only).
+    /// Always 0: every ball is refined from scratch. Kept only until the benchmark's
+    /// trace stops reading it (`warm.started_frac`).
     pub balls_warm_started: usize,
-    /// Pairs fed to the per-ball refinement: the delta suspects on warm-started balls,
-    /// the full start relation otherwise. Seed-dependent instrumentation by design —
-    /// the warm/scratch ratio is the `refine_warm` bench's `seeded_ratio`.
+    /// Pairs in the start relations fed to per-ball refinement, summed over balls.
     pub seeded_pairs: usize,
-    /// Balls whose match graph was updated incrementally from the previous ball's
-    /// instead of rebuilt (warm path with connectivity pruning off).
-    pub match_graphs_reused: usize,
     /// Nodes of the extracted match graph `Gm` ([`BallSubstrate::MatchGraph`] with
     /// `dual_filter` only; 0 when no extraction ran). `gm_nodes / balls_considered` is
     /// the extraction selectivity the experiment reports print.
@@ -290,16 +249,16 @@ pub struct MatchStats {
     /// Edges of the extracted match graph `Gm` (same validity rule as `gm_nodes`).
     pub gm_edges: usize,
     /// Chunks of the center order executed by the fan-out: the
-    /// [`crate::parallel::chunk_plan`] chunks plus any re-splits. Both the plan and the
-    /// re-split decisions are functions of the input alone, so this is identical at
-    /// every thread count (including the sequential run).
+    /// [`crate::parallel::chunk_plan`] chunks. The plan is a function of the center
+    /// count alone, so this is identical at every thread count (including the
+    /// sequential run).
     pub chunks_processed: usize,
     /// Chunks executed by a worker other than the one they were dealt to. **The one
     /// scheduling-dependent counter**: it varies with thread count and steal timing, so
     /// the equivalence suites exclude it from their bit-identity comparisons.
     pub chunks_stolen: usize,
-    /// Chunks halved mid-run because their slide chain had degenerated to fresh
-    /// rebuilds ([`crate::ball::BallForest::degraded`]), making the remainder stealable.
+    /// Always 0: chunks are never split mid-run. Kept only until the benchmark's trace
+    /// stops reading it (`parallel.splits`).
     pub chunks_split: usize,
     /// Pairs removed by the per-ball repetition closure, witness filter plus cascade
     /// ([`RepetitionSemantics::Distinct`]/[`RepetitionSemantics::Equal`] only). Identical
@@ -443,15 +402,11 @@ struct WorkerResult {
     balls_with_invalid_matches: usize,
     filter_removed_pairs: usize,
     balls_built: usize,
-    balls_reused: usize,
-    balls_warm_started: usize,
     seeded_pairs: usize,
-    match_graphs_reused: usize,
     repetition_filtered_pairs: usize,
     repetition_bailed_balls: usize,
     chunks_processed: usize,
     chunks_stolen: usize,
-    chunks_split: usize,
 }
 
 impl WorkerResult {
@@ -657,138 +612,60 @@ fn match_impl(
     };
     stats.balls_processed = centers.len();
 
-    // The sliding-ball strategy wants consecutive centers to be adjacent, so it reorders
-    // the candidates along an undirected BFS of the substrate graph. The merge re-sorts
-    // subgraphs by center and all other stats are order-independent sums, so the
-    // reordering is invisible in the output.
-    let use_forest = config.compact_balls && config.ball_strategy == BallStrategy::Incremental;
-    let centers = if use_forest {
-        locality_center_order(match_data, &centers)
-    } else {
-        centers
-    };
-
-    // Fan the per-ball work out over worker threads. The center order is cut into
-    // locality-contiguous chunks whose boundaries depend only on the center count, each
-    // worker is dealt a contiguous block of chunks, and idle workers steal whole chunks
-    // — never single centers — so a worker's forest slide chain and warm carry stay
-    // intact within a chunk and are reset at every chunk boundary. Because both the
-    // chunk plan and the re-split decisions below are functions of the input alone, the
-    // per-ball work (and every stat except `chunks_stolen`) is bit-identical at any
-    // thread count. Below the cutoff, thread spawn/join costs more than the matching
-    // itself, so small inputs run inline even when `parallel` is requested — unless an
-    // explicit `thread_limit` asks for real fan-out.
+    // Fan the per-ball work out over worker threads. The centers are cut into contiguous
+    // chunks whose boundaries depend only on the center count, each worker is dealt a
+    // contiguous block of chunks, and idle workers steal whole chunks. Every ball is
+    // built and refined from scratch, so its rows depend on its center alone and every
+    // stat except `chunks_stolen` is bit-identical at any thread count. Below the cutoff,
+    // thread spawn/join costs more than the matching itself, so small inputs run inline
+    // even when `parallel` is requested — unless an explicit `thread_limit` asks for
+    // real fan-out.
     const PARALLEL_CUTOFF: usize = 128;
-    // A chunk whose forest has degraded to rebuild-every-ball is checked every
-    // `RESPLIT_CHECK` centers and halved while at least `RESPLIT_MIN` centers remain:
-    // with no slide chain left to protect, the remainder might as well be stealable.
-    const RESPLIT_CHECK: usize = 8;
-    const RESPLIT_MIN: usize = 16;
     let threads = match (config.parallel, config.thread_limit) {
         (false, _) => 1,
         (true, Some(n)) => n.max(1),
         (true, None) if centers.len() >= PARALLEL_CUTOFF => available_threads(),
         (true, None) => 1,
     };
-    let use_warm = use_forest && config.refine_seed == RefineSeed::WarmStart;
     let plan = chunk_plan(centers.len());
     let workers = effective_workers(threads, plan.len());
     let scheduler = StealScheduler::new(workers, plan);
     let worker = |t: usize| -> WorkerResult {
         let mut result = WorkerResult::default();
         let mut scratch = BallScratch::new();
-        let mut forest = use_forest.then(|| BallForest::new(match_data, radius));
-        let mut warm =
-            use_warm.then(|| WarmMatcher::new(effective_pattern).on_match_graph(gm.is_some()));
         while let Some((chunk, stolen)) = scheduler.next(t) {
             result.chunks_processed += 1;
             result.chunks_stolen += usize::from(stolen);
-            // A chunk boundary severs the slide and carry chains: the previous chunk's
-            // last center is not adjacent to this chunk's first, and resetting here
-            // makes per-ball behaviour a function of chunk content alone — independent
-            // of which worker runs the chunk or what it ran before.
-            if let Some(forest) = forest.as_mut() {
-                forest.reset_chain();
-            }
-            if let Some(warm) = warm.as_mut() {
-                warm.reset_chain();
-            }
             let current = Cell::new(None::<NodeId>);
             let bounds = chunk.clone();
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                let mut pos = chunk.start;
-                let mut end = chunk.end;
-                while pos < end {
-                    let i = pos;
-                    let center = centers[i];
+                for &center in &centers[chunk] {
                     current.set(Some(center));
-                    let (subgraph, removed) = if let Some(forest) = forest.as_mut() {
-                        forest.advance(center);
-                        let ball = forest.compact(&mut scratch);
-                        // Warm-starting rides slides; rebuilt balls take the byte-identical
-                        // scratch path (`WarmMatcher::wants` invalidates the carry, and the
-                        // next slide re-seeds the chain from its own scratch refinement).
-                        let ball_move = forest.last_move();
-                        let use_warm_ball = warm.as_mut().is_some_and(|w| w.wants(ball_move));
-                        let out = if use_warm_ball {
-                            let warm = warm.as_mut().expect("gate implies matcher");
-                            warm.match_ball(
-                                effective_pattern,
-                                match_data,
-                                &ball,
-                                ball_move,
-                                forest.entered(),
-                                forest.left(),
-                                local_relation,
-                                config.connectivity_pruning,
-                                config.refine_strategy,
-                                config.repetition,
-                                config.repetition_mode,
-                            )
-                        } else {
-                            let (subgraph, removed, seeded, repetition) = match_prepared_ball(
-                                effective_pattern,
-                                match_data,
-                                &ball,
-                                config,
-                                local_relation,
-                                gm,
-                            );
-                            result.seeded_pairs += seeded;
-                            result.record_repetition(repetition);
-                            (subgraph, removed)
-                        };
-                        ball.recycle(&mut scratch);
-                        out
-                    } else if config.compact_balls {
-                        result.balls_built += 1;
-                        let (subgraph, removed, seeded, repetition) = match_ball_compact(
+                    result.balls_built += 1;
+                    let (subgraph, removed, seeded, repetition) = if config.compact_balls {
+                        let ball = CompactBall::build(match_data, center, radius, &mut scratch);
+                        let out = match_prepared_ball(
                             effective_pattern,
                             match_data,
-                            center,
-                            radius,
+                            &ball,
                             config,
                             local_relation,
                             gm,
-                            &mut scratch,
                         );
-                        result.seeded_pairs += seeded;
-                        result.record_repetition(repetition);
-                        (subgraph, removed)
+                        ball.recycle(&mut scratch);
+                        out
                     } else {
-                        result.balls_built += 1;
-                        let (subgraph, removed, seeded, repetition) = match_ball_legacy(
+                        match_ball_legacy(
                             effective_pattern,
                             match_data,
                             center,
                             radius,
                             config,
                             local_relation,
-                        );
-                        result.seeded_pairs += seeded;
-                        result.record_repetition(repetition);
-                        (subgraph, removed)
+                        )
                     };
+                    result.seeded_pairs += seeded;
+                    result.record_repetition(repetition);
                     if removed > 0 {
                         result.balls_with_invalid_matches += 1;
                         result.filter_removed_pairs += removed;
@@ -813,23 +690,6 @@ fn match_impl(
                         }
                         result.subgraphs.push(subgraph);
                     }
-                    pos += 1;
-                    // Re-split a degraded chunk: when the forest's back-off has engaged
-                    // (every recent slide degenerated to a fresh rebuild), the rest of
-                    // the chunk has no chain worth protecting, so hand the far half
-                    // back to the scheduler for anyone idle to steal. The trigger
-                    // depends only on the chunk's own content, keeping the executed
-                    // chunk set — and `chunks_processed`/`chunks_split` — identical at
-                    // every thread count.
-                    if (pos - chunk.start) % RESPLIT_CHECK == 0
-                        && end - pos >= RESPLIT_MIN
-                        && forest.as_ref().is_some_and(|f| f.degraded())
-                    {
-                        let mid = pos + (end - pos) / 2;
-                        scheduler.push(t, mid..end);
-                        result.chunks_split += 1;
-                        end = mid;
-                    }
                 }
             }));
             if let Err(payload) = caught {
@@ -846,19 +706,6 @@ fn match_impl(
                 );
             }
         }
-        // The forest is the single source of truth for the built/reused split, the warm
-        // matcher for the seeding split.
-        if let Some(forest) = &forest {
-            result.balls_built += forest.built_fresh;
-            result.balls_reused += forest.reused;
-        }
-        if let Some(warm) = &warm {
-            result.balls_warm_started += warm.stats.warm_balls;
-            result.seeded_pairs += warm.stats.seeded_pairs;
-            result.match_graphs_reused += warm.stats.match_graphs_reused;
-            result.repetition_filtered_pairs += warm.stats.repetition_filtered_pairs;
-            result.repetition_bailed_balls += warm.stats.repetition_bailed_balls;
-        }
         result
     };
     let results = par_workers(workers, worker);
@@ -870,15 +717,11 @@ fn match_impl(
         stats.balls_with_invalid_matches += r.balls_with_invalid_matches;
         stats.filter_removed_pairs += r.filter_removed_pairs;
         stats.balls_built += r.balls_built;
-        stats.balls_reused += r.balls_reused;
-        stats.balls_warm_started += r.balls_warm_started;
         stats.seeded_pairs += r.seeded_pairs;
-        stats.match_graphs_reused += r.match_graphs_reused;
         stats.repetition_filtered_pairs += r.repetition_filtered_pairs;
         stats.repetition_bailed_balls += r.repetition_bailed_balls;
         stats.chunks_processed += r.chunks_processed;
         stats.chunks_stolen += r.chunks_stolen;
-        stats.chunks_split += r.chunks_split;
         subgraphs.extend(r.subgraphs);
     }
     subgraphs.sort_by_key(|s| s.center);
@@ -900,32 +743,10 @@ fn match_impl(
     MatchOutput { subgraphs, stats }
 }
 
-/// Matches one ball using the compact (ball-local ids) engine, building the ball with a
-/// fresh BFS. Returns the translated perfect subgraph, if any, plus the number of pairs
-/// the dual filter removed.
-#[allow(clippy::too_many_arguments)]
-fn match_ball_compact(
-    pattern: &Pattern,
-    data: &Graph,
-    center: NodeId,
-    radius: usize,
-    config: &MatchConfig,
-    global_relation: Option<&MatchRelation>,
-    gm: Option<&GmSubstrate>,
-    scratch: &mut BallScratch,
-) -> (Option<PerfectSubgraph>, usize, usize, RepetitionOutcome) {
-    let ball = CompactBall::build(data, center, radius, scratch);
-    let result = match_prepared_ball(pattern, data, &ball, config, global_relation, gm);
-    ball.recycle(scratch);
-    result
-}
-
-/// Matches one prebuilt compact ball — the shared back half of both ball strategies. The
-/// ball may come from a fresh BFS ([`CompactBall::build`]) or a [`BallForest`] slide; the
-/// member *order* (and hence the local id assignment) differs between the two, but every
-/// downstream step works on id sets and re-sorts at extraction, so the output is
-/// bit-identical either way. Balls built inside `Gm` refine and extract over its
-/// candidate adjacency ([`match_gm_ball`]).
+/// Matches one compact ball built by [`CompactBall::build`]. Returns the translated
+/// perfect subgraph, if any, the pairs the dual filter removed, the size of the start
+/// relation and the repetition outcome. Balls built inside `Gm` refine and extract over
+/// its candidate adjacency ([`match_gm_ball`]).
 fn match_prepared_ball(
     pattern: &Pattern,
     data: &Graph,
@@ -1353,18 +1174,7 @@ pub(crate) mod tests {
                 ..MatchConfig::optimized()
             },
             MatchConfig::optimized().sequential(),
-            // Ball-construction ablations.
-            MatchConfig::basic().with_ball_strategy(BallStrategy::FreshBfs),
-            MatchConfig::optimized().with_ball_strategy(BallStrategy::FreshBfs),
-            MatchConfig::basic()
-                .with_ball_strategy(BallStrategy::FreshBfs)
-                .with_thread_limit(3),
-            // Refinement-seed ablations.
-            MatchConfig::basic().with_refine_seed(RefineSeed::FromScratch),
-            MatchConfig::optimized().with_refine_seed(RefineSeed::FromScratch),
-            MatchConfig::basic()
-                .with_refine_seed(RefineSeed::FromScratch)
-                .with_thread_limit(3),
+            MatchConfig::optimized().with_ball_substrate(BallSubstrate::FullGraph),
         ] {
             let out = strong_simulation(&pattern, &data, &config);
             assert_eq!(
@@ -1491,70 +1301,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn ball_stats_split_built_and_reused() {
-        let (pattern, data, _) = figure1();
-        let incremental = strong_simulation(&pattern, &data, &MatchConfig::basic());
-        assert_eq!(
-            incremental.stats.balls_built + incremental.stats.balls_reused,
-            incremental.stats.balls_processed,
-            "every processed ball is either built or reused"
-        );
-        assert!(
-            incremental.stats.balls_reused > 0,
-            "figure 1 has adjacent centers to slide across"
-        );
-        let fresh = strong_simulation(
-            &pattern,
-            &data,
-            &MatchConfig::basic().with_ball_strategy(BallStrategy::FreshBfs),
-        );
-        assert_eq!(fresh.stats.balls_reused, 0);
-        assert_eq!(fresh.stats.balls_built, fresh.stats.balls_processed);
-        // The legacy |V|-sized path never reuses either.
-        let legacy = strong_simulation(
-            &pattern,
-            &data,
-            &MatchConfig {
-                compact_balls: false,
-                ..MatchConfig::basic()
-            },
-        );
-        assert_eq!(legacy.stats.balls_reused, 0);
-    }
-
-    #[test]
-    fn warm_stats_split_is_consistent() {
-        let (pattern, data, _) = figure1();
-        let warm = strong_simulation(&pattern, &data, &MatchConfig::basic());
-        assert!(
-            warm.stats.balls_warm_started > 0,
-            "figure 1's locality chains never warm-started"
-        );
-        assert!(warm.stats.balls_warm_started <= warm.stats.balls_processed);
-        assert!(warm.stats.seeded_pairs > 0);
-        let scratch = strong_simulation(
-            &pattern,
-            &data,
-            &MatchConfig::basic().with_refine_seed(RefineSeed::FromScratch),
-        );
-        assert_eq!(scratch.stats.balls_warm_started, 0);
-        assert_eq!(scratch.stats.match_graphs_reused, 0);
-        assert!(
-            warm.stats.seeded_pairs <= scratch.stats.seeded_pairs,
-            "warm seeding ({}) re-verified more pairs than scratch seeding started ({})",
-            warm.stats.seeded_pairs,
-            scratch.stats.seeded_pairs
-        );
-        // The non-sliding engine shapes ignore the seed axis entirely.
-        let fresh = strong_simulation(
-            &pattern,
-            &data,
-            &MatchConfig::basic().with_ball_strategy(BallStrategy::FreshBfs),
-        );
-        assert_eq!(fresh.stats.balls_warm_started, 0);
-    }
-
-    #[test]
     fn dedup_matches_seed_semantics() {
         // Dedup keeps the first occurrence of each structure, like the seed's BTreeSet key.
         let (pattern, data, _) = figure1();
@@ -1611,66 +1357,28 @@ pub(crate) mod tests {
         }
     }
 
-    /// One dense community (a clique, every slide degenerate) amid a long cheap chain.
-    /// Under the old static contiguous split this community pinned one worker for the
-    /// whole run; the re-split path must detect the degraded forest, halve the
-    /// community's chunks, and still produce the oracle result with the same
-    /// deterministic chunk accounting at every thread count.
-    fn clique_and_chain() -> (Pattern, Graph) {
-        let clique = 64u32;
-        let total = 2048u32;
-        let mut labels = vec![Label(2); clique as usize];
-        for i in clique..total {
-            labels.push(Label(i % 2));
-        }
-        let mut edges = Vec::new();
-        for i in 0..clique {
-            for j in 0..clique {
-                if i != j {
-                    edges.push((i, j));
+    /// An unbounded radius covers each center's whole component, exactly like a radius
+    /// of `|V|`: no ball-construction step may size anything by `radius + 1`.
+    #[test]
+    fn unbounded_radius_equals_node_count_radius() {
+        let (pattern, data, _) = figure1();
+        for base in [MatchConfig::basic(), MatchConfig::optimized()] {
+            let want = strong_simulation(
+                &pattern,
+                &data,
+                &base.sequential().with_radius(data.node_count()),
+            );
+            assert!(want.is_match());
+            for config in [base.sequential(), base.with_thread_limit(2)] {
+                let got = strong_simulation(&pattern, &data, &config.with_radius(usize::MAX));
+                assert_eq!(got.subgraphs.len(), want.subgraphs.len(), "{config:?}");
+                for (a, b) in got.subgraphs.iter().zip(&want.subgraphs) {
+                    assert_eq!(a.center, b.center);
+                    assert_eq!(a.nodes, b.nodes);
+                    assert_eq!(a.edges, b.edges);
+                    assert_eq!(a.relation, b.relation);
                 }
             }
         }
-        for i in clique..total - 1 {
-            edges.push((i, i + 1));
-        }
-        let data = Graph::from_edges(labels, &edges).unwrap();
-        let pattern = Pattern::from_edges(vec![Label(0), Label(1)], &[(0, 1)]).unwrap();
-        (pattern, data)
-    }
-
-    #[test]
-    fn degraded_chunks_resplit_and_stay_exact() {
-        let (pattern, data) = clique_and_chain();
-        let oracle = strong_simulation(
-            &pattern,
-            &data,
-            &MatchConfig::basic()
-                .sequential()
-                .with_ball_strategy(BallStrategy::FreshBfs)
-                .with_refine_seed(RefineSeed::FromScratch),
-        );
-        let mut chunk_counts = Vec::new();
-        for threads in [1usize, 4] {
-            let out = strong_simulation(
-                &pattern,
-                &data,
-                &MatchConfig::basic().with_thread_limit(threads),
-            );
-            assert_eq!(out.subgraphs.len(), oracle.subgraphs.len());
-            for (a, b) in out.subgraphs.iter().zip(&oracle.subgraphs) {
-                assert_eq!(a.center, b.center);
-                assert_eq!(a.nodes, b.nodes);
-                assert_eq!(a.relation, b.relation);
-            }
-            assert!(
-                out.stats.chunks_split > 0,
-                "dense community never triggered a re-split (threads={threads})"
-            );
-            chunk_counts.push((out.stats.chunks_processed, out.stats.chunks_split));
-        }
-        // The re-split decisions depend on chunk content alone, so the chunk accounting
-        // (everything but `chunks_stolen`) is identical at every thread count.
-        assert_eq!(chunk_counts[0], chunk_counts[1]);
     }
 }

@@ -17,8 +17,9 @@
 //! that fails past [`RecoveryPolicy::chunk_retries`] is *lost*, its centers are reported
 //! in [`crate::runtime::DistributedOutput::lost_centers`], and the coverage arithmetic
 //! `covered_balls + lost_balls == |V|` stays exact — the surviving subgraphs are always
-//! a subset of the fault-free result (per-chunk `reset_chain` makes each chunk's rows a
-//! function of chunk content alone, so replayed or reassigned chunks are bit-safe).
+//! a subset of the fault-free result (every ball is built and refined independently of
+//! the balls evaluated before it, so a chunk's rows are a function of its centers alone
+//! and replayed or reassigned chunks are bit-safe).
 
 use std::collections::BTreeMap;
 

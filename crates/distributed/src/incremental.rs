@@ -7,8 +7,8 @@
 //! [`GraphDelta`], computes the dirty-center set (the dQ-bounded locality sweep of
 //! Prop. 3) exactly like the centralized driver. The *routing* is what distribution
 //! adds: each dirty center is shipped to the site owning it, sites re-evaluate only
-//! their own dirty balls (sliding a forest along their slice of the locality order, as
-//! always), and the coordinator splices the returned rows into its cached result.
+//! their own dirty balls (walking their slice of the locality order, as always), and
+//! the coordinator splices the returned rows into its cached result.
 //! [`TrafficStats::dirty_balls`] / [`TrafficStats::clean_balls`] account for the split
 //! and always sum to `|V|`.
 //!

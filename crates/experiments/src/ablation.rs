@@ -68,8 +68,8 @@ pub struct AblationRow {
     pub balls_skipped: f64,
     /// Average number of perfect subgraphs (identical across variants — a sanity check).
     pub subgraphs: f64,
-    /// Engine-layer summary of the last repetition (ball reuse, warm starts, `Gm`
-    /// extraction selectivity) — see [`crate::report::engine_stats_line`].
+    /// Engine-layer summary of the last repetition (balls processed, `Gm` extraction
+    /// selectivity) — see [`crate::report::engine_stats_line`].
     pub engine: String,
 }
 

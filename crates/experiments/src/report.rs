@@ -5,19 +5,12 @@ use ssim_core::strong::MatchStats;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-/// One-line summary of a run's engine-layer counters: ball reuse, warm-start rate and —
-/// when the match-graph ball substrate ran — the `Gm` extraction selectivity. Rendered
-/// under the experiment tables so the engine's reuse layers stay visible next to the
-/// paper-level numbers.
+/// One-line summary of a run's engine-layer counters: balls processed and — when the
+/// match-graph ball substrate ran — the `Gm` extraction selectivity. Rendered under the
+/// experiment tables so the engine's filtering stays visible next to the paper-level
+/// numbers.
 pub fn engine_stats_line(stats: &MatchStats) -> String {
-    let processed = stats.balls_processed.max(1) as f64;
-    let mut line = format!(
-        "balls {}/{} · reuse {:.0}% · warm {:.0}%",
-        stats.balls_processed,
-        stats.balls_considered,
-        100.0 * stats.balls_reused as f64 / processed,
-        100.0 * stats.balls_warm_started as f64 / processed,
-    );
+    let mut line = format!("balls {}/{}", stats.balls_processed, stats.balls_considered);
     if stats.gm_nodes > 0 {
         let _ = write!(
             line,
@@ -180,15 +173,10 @@ mod tests {
             balls_considered: 400,
             balls_processed: 40,
             balls_skipped: 360,
-            balls_reused: 30,
-            balls_warm_started: 20,
             ..MatchStats::default()
         };
         let without = engine_stats_line(&stats);
-        assert!(without.contains("balls 40/400"));
-        assert!(without.contains("reuse 75%"));
-        assert!(without.contains("warm 50%"));
-        assert!(!without.contains("Gm"));
+        assert_eq!(without, "balls 40/400");
         stats.gm_nodes = 40;
         stats.gm_edges = 120;
         let with = engine_stats_line(&stats);

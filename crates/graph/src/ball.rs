@@ -229,60 +229,6 @@ impl CompactBall {
         Self::from_members(graph, center, radius, &members, &member_dist, map)
     }
 
-    /// Builds a compact ball from an externally maintained member list with per-member
-    /// distances, reusing `scratch` like [`CompactBall::build`].
-    ///
-    /// This is the constructor used by incremental ball producers (`ssim_core`'s
-    /// `BallForest`): they track membership and center distances across adjacent centers
-    /// themselves and only need the dense re-indexing here. `members` may be in any order;
-    /// local ids are the positions in `members`. `distances[i]` must be the undirected
-    /// distance of `members[i]` from `center`, and `center` must appear in `members`.
-    ///
-    /// # Panics
-    /// Panics when `center` is not listed in `members` or the slices disagree in length.
-    pub fn from_parts(
-        graph: &Graph,
-        center: NodeId,
-        radius: usize,
-        members: &[NodeId],
-        distances: &[u32],
-        scratch: &mut BallScratch,
-    ) -> Self {
-        assert_eq!(
-            members.len(),
-            distances.len(),
-            "one distance per ball member"
-        );
-        Self::from_parts_by(graph, center, radius, members, |_, i| distances[i], scratch)
-    }
-
-    /// [`CompactBall::from_parts`] with the distances supplied by a lookup instead of a
-    /// slice: `dist_of(member, position)` returns the undirected center distance of
-    /// `members[position]`.
-    ///
-    /// Incremental ball producers keep one `|V|`-sized distance array alive across
-    /// centers; this constructor lets them remap straight out of it without collecting a
-    /// per-ball distance vector first.
-    ///
-    /// # Panics
-    /// Panics when `center` is not listed in `members`.
-    pub fn from_parts_by(
-        graph: &Graph,
-        center: NodeId,
-        radius: usize,
-        members: &[NodeId],
-        dist_of: impl Fn(NodeId, usize) -> u32,
-        scratch: &mut BallScratch,
-    ) -> Self {
-        let map = std::mem::take(&mut scratch.map);
-        let ball = Self::from_members_by(graph, center, radius, members, dist_of, map);
-        assert!(
-            ball.center.index() < members.len() && members[ball.center.index()] == center,
-            "ball center {center} must be a member"
-        );
-        ball
-    }
-
     /// Returns the ball's global→local map to `scratch` for the next build, clearing only
     /// the entries this ball set. Optional — a dropped ball simply costs the next build a
     /// fresh allocation — but the engine's per-ball loop always recycles.
@@ -305,19 +251,6 @@ impl CompactBall {
         radius: usize,
         members: &[NodeId],
         distances: &[u32],
-        map: Vec<u32>,
-    ) -> Self {
-        Self::from_members_by(graph, center, radius, members, |_, i| distances[i], map)
-    }
-
-    /// [`CompactBall::from_members`] with looked-up distances (see
-    /// [`CompactBall::from_parts_by`]).
-    fn from_members_by(
-        graph: &Graph,
-        center: NodeId,
-        radius: usize,
-        members: &[NodeId],
-        dist_of: impl Fn(NodeId, usize) -> u32,
         mut map: Vec<u32>,
     ) -> Self {
         let to_global: Vec<NodeId> = members.to_vec();
@@ -332,7 +265,7 @@ impl CompactBall {
         let border: Vec<NodeId> = to_global
             .iter()
             .enumerate()
-            .filter(|&(local, &g)| dist_of(g, local) as usize == radius)
+            .filter(|&(local, _)| distances[local] as usize == radius)
             .map(|(local, _)| NodeId(local as u32))
             .collect();
         let center_local = NodeId(map[center.index()]);

@@ -1,12 +1,11 @@
-//! Shared generators, assertion helpers and the six-axis oracle-matrix driver for the
+//! Shared generators, assertion helpers and the four-axis oracle-matrix driver for the
 //! workspace equivalence suites.
 //!
 //! Every `tests/*_equivalence.rs` suite used to carry its own copy of the edge-soup
-//! data-graph strategy, the connected-pattern strategy, the raw-word delta builder and
-//! the locality center sequence; they live here once now, parameterised where the
-//! suites' ranges differed. The matrix driver below is the sixth axis's differential
-//! harness: it decodes a *random point* of the full oracle matrix
-//! (`RefineStrategy` × `BallStrategy` × `RefineSeed` × `BallSubstrate` × `UpdatePlan` ×
+//! data-graph strategy, the connected-pattern strategy and the raw-word delta builder;
+//! they live here once now, parameterised where the suites' ranges differed. The matrix
+//! driver below is the repetition axis's differential harness: it decodes a *random
+//! point* of the full oracle matrix (`RefineStrategy` × `BallSubstrate` × `UpdatePlan` ×
 //! `RepetitionSemantics`) from raw generator words and pits the integrated repetition
 //! path against the naive per-ball oracle at that point — sequential, parallel and
 //! distributed, before and after a `GraphDelta`.
@@ -17,10 +16,7 @@
 use proptest::prelude::*;
 use ssim_core::incremental::IncrementalMatcher;
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
-use ssim_core::{
-    locality_center_order, BallStrategy, BallSubstrate, RefineSeed, RefineStrategy, RepetitionMode,
-    RepetitionSemantics, UpdatePlan,
-};
+use ssim_core::{BallSubstrate, RefineStrategy, RepetitionMode, RepetitionSemantics, UpdatePlan};
 use ssim_datasets::patterns::{random_pattern, PatternGenConfig};
 use ssim_distributed::{
     distributed_strong_simulation, DistributedConfig, IncrementalDistributed, PartitionStrategy,
@@ -175,19 +171,6 @@ pub fn random_delta(graph: &Graph, picks: &[u64]) -> GraphDelta {
     delta
 }
 
-/// A center sequence for a graph: one locality-ordered sweep (maximising slides)
-/// followed by random jumps (maximising rebuild/slide boundary crossings).
-pub fn center_sequence(graph: &Graph, jumps: &[usize]) -> Vec<NodeId> {
-    let all: Vec<NodeId> = graph.nodes().collect();
-    let mut seq = locality_center_order(graph, &all);
-    seq.extend(
-        jumps
-            .iter()
-            .map(|&j| NodeId((j % graph.node_count()) as u32)),
-    );
-    seq
-}
-
 /// Asserts two match outputs are bit-identical: identical subgraph sets and identical
 /// stats up to `chunks_stolen`, the one counter that depends on steal timing.
 pub fn assert_bit_identical(a: &MatchOutput, b: &MatchOutput, context: &str) -> Result<(), String> {
@@ -208,10 +191,11 @@ pub fn assert_bit_identical(a: &MatchOutput, b: &MatchOutput, context: &str) -> 
     Ok(())
 }
 
-/// Decodes one point of the five *shape* axes from a raw generator word: refine
-/// strategy, ball strategy, refine seed, ball substrate (with the dual filter it rides
-/// on) and thread count. The sixth axis (repetition) and the update plan are supplied
-/// by the caller — the matrix driver runs both repetition modes at the decoded point.
+/// Decodes one point of the *shape* axes from a raw generator word: `Match` or `Match+`
+/// (bit 0), refine strategy (bit 1), ball substrate (bit 2, riding on the dual filter)
+/// and thread count (bits 3–4). Bit 5 picks the distributed partition strategy in
+/// [`check_matrix_point`]. The repetition axis and the update plan are supplied by the
+/// caller — the matrix driver runs both repetition modes at the decoded point.
 pub fn matrix_config(bits: u64) -> MatchConfig {
     let mut config = if bits & 1 == 0 {
         MatchConfig::basic()
@@ -222,15 +206,9 @@ pub fn matrix_config(bits: u64) -> MatchConfig {
         config = config.with_refine_strategy(RefineStrategy::NaiveFixpoint);
     }
     if bits & 4 != 0 {
-        config = config.with_ball_strategy(BallStrategy::FreshBfs);
-    }
-    if bits & 8 != 0 {
-        config = config.with_refine_seed(RefineSeed::FromScratch);
-    }
-    if bits & 16 != 0 {
         config = config.with_ball_substrate(BallSubstrate::FullGraph);
     }
-    match (bits >> 5) & 3 {
+    match (bits >> 3) & 3 {
         0 => config.sequential(),
         1 => config.with_thread_limit(2),
         _ => config.with_thread_limit(4),
@@ -248,7 +226,7 @@ pub fn matrix_semantics(bits: u64) -> RepetitionSemantics {
     }
 }
 
-/// The sixth axis's differential harness at one sampled matrix point: the integrated
+/// The repetition axis's differential harness at one sampled matrix point: the integrated
 /// repetition path and the naive per-ball oracle must produce bit-identical
 /// `MatchOutput`s — one-shot and through an incremental session across `delta` — and
 /// bit-identical distributed subgraph sets. `Free` points double as a regression check
@@ -292,18 +270,13 @@ pub fn check_matrix_point(
     // Distributed runtime: identical subgraph sets and traffic (minus steal timing).
     let dist = DistributedConfig {
         sites,
-        strategy: if shape_bits & 64 != 0 {
+        strategy: if shape_bits & 32 != 0 {
             PartitionStrategy::Hash
         } else {
             PartitionStrategy::Range
         },
-        refine_seed: if shape_bits & 8 != 0 {
-            RefineSeed::FromScratch
-        } else {
-            RefineSeed::WarmStart
-        },
         dual_filter: shape_bits & 1 != 0,
-        ball_substrate: if shape_bits & 16 != 0 {
+        ball_substrate: if shape_bits & 4 != 0 {
             BallSubstrate::FullGraph
         } else {
             BallSubstrate::MatchGraph

@@ -20,9 +20,7 @@ use ssim_core::parallel::{chunk_plan, contiguous, stripe};
 use ssim_core::relation::MatchRelation;
 use ssim_core::simulation::{dual_candidates, graph_simulation_with};
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
-use ssim_core::{
-    BallStrategy, BallSubstrate, IncrementalMatcher, RefineSeed, RefineStrategy, UpdatePlan,
-};
+use ssim_core::{BallSubstrate, IncrementalMatcher, RefineStrategy, UpdatePlan};
 use ssim_graph::{CompactionPolicy, Graph, OverlayGraph, Pattern};
 
 /// This suite stretches the shared generators a little wider than the default ranges:
@@ -167,17 +165,15 @@ proptest! {
     }
 }
 
-/// One configuration per oracle axis (both poles where they differ from the bases):
-/// `RefineStrategy`, `BallStrategy`, `RefineSeed` and `BallSubstrate` on top of the
-/// plain and fully optimised bases. The fifth axis (`UpdatePlan`) only acts through the
-/// incremental session and is covered by `updated_output_is_bit_identical_across_threads`.
+/// One configuration per engine oracle axis (both poles where they differ from the
+/// bases): `RefineStrategy` and `BallSubstrate` on top of the plain and fully optimised
+/// bases. The `UpdatePlan` axis only acts through the incremental session and is covered
+/// by `updated_output_is_bit_identical_across_threads`.
 fn axis_configs() -> Vec<MatchConfig> {
     vec![
         MatchConfig::basic(),
         MatchConfig::optimized(),
         MatchConfig::basic().with_refine_strategy(RefineStrategy::NaiveFixpoint),
-        MatchConfig::basic().with_ball_strategy(BallStrategy::FreshBfs),
-        MatchConfig::basic().with_refine_seed(RefineSeed::FromScratch),
         MatchConfig::optimized().with_ball_substrate(BallSubstrate::FullGraph),
     ]
 }
@@ -207,8 +203,8 @@ proptest! {
     }
 
     /// `MatchOutput` is bit-identical across thread counts 1/2/4/8 on every oracle axis,
-    /// and the sequential engine agrees too: the chunk plan and the per-chunk state
-    /// resets are functions of the input alone, so only steal attribution may vary.
+    /// and the sequential engine agrees too: the chunk plan is a function of the input
+    /// alone and every ball is evaluated on its own, so only steal attribution may vary.
     #[test]
     fn output_is_bit_identical_across_thread_counts(data in data_graph(), q in pattern()) {
         for base in axis_configs() {
@@ -222,7 +218,7 @@ proptest! {
         }
     }
 
-    /// The fifth oracle axis (`UpdatePlan`): incremental sessions inherit the chunk
+    /// The `UpdatePlan` oracle axis: incremental sessions inherit the chunk
     /// scheduler through the prepared entry points, so the post-update output is
     /// bit-identical across thread counts for both the incremental plan and the
     /// recompute oracle.

@@ -1,5 +1,5 @@
 //! Differential properties of the match-graph ball substrate
-//! ([`ssim_core::BallSubstrate`]) — the fourth oracle axis.
+//! ([`ssim_core::BallSubstrate`]) — one of the four oracle axes.
 //!
 //! With the dual filter on, the engine extracts the matched-node set once as a dense
 //! renumbered subgraph `Gm` ([`ssim_graph::ExtractedSubgraph`]) and builds its balls
@@ -48,9 +48,7 @@ use ssim_core::pruning::prune_by_connectivity;
 use ssim_core::strong::{
     match_compact_ball_filtered, match_with_prepared, strong_simulation, MatchConfig, MatchOutput,
 };
-use ssim_core::{
-    BallStrategy, BallSubstrate, RefineSeed, RefineStrategy, RepetitionMode, RepetitionSemantics,
-};
+use ssim_core::{BallSubstrate, RefineStrategy, RepetitionMode, RepetitionSemantics};
 use ssim_distributed::{distributed_strong_simulation, DistributedConfig, PartitionStrategy};
 use ssim_graph::{
     Ball, BallScratch, BitSet, CompactBall, ExtractedSubgraph, Graph, Label, NodeId, OverlayGraph,
@@ -207,7 +205,7 @@ proptest! {
         }
     }
 
-    /// Ball layer: balls built inside the extraction — the sliding pipeline's substrate —
+    /// Ball layer: balls built inside the extraction — the ball pipeline's substrate —
     /// equal balls built on a materialized copy of `Gm`: members, distances and borders.
     #[test]
     fn gm_balls_equal_materialized_oracle(
@@ -252,7 +250,7 @@ proptest! {
 
     /// Match layer: the substrates produce identical outputs for plain-with-filter and
     /// fully optimised `Match`, both refinement strategies, sequential and parallel, on
-    /// the default (sliding + warm) engine.
+    /// the default engine.
     #[test]
     fn substrates_agree_on_match_output(data in data_graph(), q in pattern()) {
         let Some(global) = dual_simulation(&q, &data) else {
@@ -317,8 +315,8 @@ proptest! {
         }
     }
 
-    /// The substrate axis composes with the other oracle axes: fresh-BFS balls,
-    /// from-scratch seeding and the legacy `|V|`-sized engine agree across substrates.
+    /// The substrate axis composes with the other oracle axes: the legacy `|V|`-sized
+    /// engine, alone and with the naive fixpoint, agrees across substrates.
     #[test]
     fn substrates_agree_with_other_axes_pinned_to_oracles(data in data_graph(), q in pattern()) {
         let Some(global) = dual_simulation(&q, &data) else {
@@ -329,24 +327,12 @@ proptest! {
         let shapes = [
             MatchConfig {
                 dual_filter: true,
-                ..MatchConfig::basic()
-            }
-            .with_ball_strategy(BallStrategy::FreshBfs),
-            MatchConfig {
-                dual_filter: true,
-                ..MatchConfig::basic()
-            }
-            .with_refine_seed(RefineSeed::FromScratch),
-            MatchConfig {
-                dual_filter: true,
                 compact_balls: false,
                 ..MatchConfig::basic()
             },
             MatchConfig {
                 refine_strategy: RefineStrategy::NaiveFixpoint,
                 compact_balls: false,
-                ball_strategy: BallStrategy::FreshBfs,
-                refine_seed: RefineSeed::FromScratch,
                 dual_filter: true,
                 ..MatchConfig::basic()
             },
@@ -413,7 +399,7 @@ proptest! {
                 let evaluated: usize = out.traffic.balls_per_site.iter().sum();
                 prop_assert_eq!(out.traffic.considered_balls, data.node_count());
                 prop_assert_eq!(out.traffic.skipped_balls + evaluated, data.node_count());
-                prop_assert_eq!(out.traffic.built_balls + out.traffic.reused_balls, evaluated);
+                prop_assert_eq!(out.traffic.built_balls, evaluated);
             }
             prop_assert_eq!(gm.traffic.skipped_balls, full.traffic.skipped_balls);
         }

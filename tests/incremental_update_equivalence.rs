@@ -14,8 +14,8 @@
 //! * **match layer** — along random delta streams over the workload generators, the
 //!   incremental session's `MatchOutput` rows are bit-identical to the recompute
 //!   oracle's and to a one-shot `strong_simulation` on the updated graph, with the
-//!   other four engine axes (`RefineStrategy × BallStrategy × RefineSeed ×
-//!   BallSubstrate`) pinned at their defaults AND composed into every oracle shape;
+//!   other engine axes (`RefineStrategy × BallSubstrate`, plus the legacy `|V|`-sized
+//!   engine) pinned at their defaults AND composed into every oracle shape;
 //! * **distributed layer** — the coordinator's per-site dirty-ball routing returns the
 //!   same rows as a distributed recompute, and `dirty_balls + clean_balls == |V|`.
 //!
@@ -28,9 +28,9 @@ mod common;
 
 use common::{data_graph, pattern, random_delta};
 use proptest::prelude::*;
-use ssim_core::ball::{BallStrategy, BallSubstrate};
+use ssim_core::ball::BallSubstrate;
 use ssim_core::incremental::{global_fixpoint, update_global_fixpoint, IncrementalMatcher};
-use ssim_core::simulation::{RefineSeed, RefineStrategy};
+use ssim_core::simulation::RefineStrategy;
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
 use ssim_core::UpdatePlan;
 use ssim_distributed::{DistributedConfig, IncrementalDistributed, PartitionStrategy};
@@ -54,7 +54,7 @@ fn assert_same_rows(a: &MatchOutput, b: &MatchOutput, context: &str) -> Result<(
     Ok(())
 }
 
-/// The oracle-matrix shapes the update axis is composed with: the four other axes
+/// The oracle-matrix shapes the update axis is composed with: the other engine axes
 /// pinned at their defaults, each flipped to its oracle, the full seed shape, and the
 /// paper-level toggles (dedup, radius override) that interact with row splicing.
 fn config_matrix() -> Vec<(&'static str, MatchConfig)> {
@@ -64,14 +64,6 @@ fn config_matrix() -> Vec<(&'static str, MatchConfig)> {
         (
             "naive-fixpoint",
             MatchConfig::basic().with_refine_strategy(RefineStrategy::NaiveFixpoint),
-        ),
-        (
-            "fresh-balls",
-            MatchConfig::basic().with_ball_strategy(BallStrategy::FreshBfs),
-        ),
-        (
-            "scratch-seed",
-            MatchConfig::basic().with_refine_seed(RefineSeed::FromScratch),
         ),
         (
             "full-substrate",

@@ -1,14 +1,14 @@
 //! Differential properties of the label-repetition semantics
-//! ([`ssim_core::RepetitionSemantics`]) — the sixth oracle axis.
+//! ([`ssim_core::RepetitionSemantics`]) — the fourth oracle axis.
 //!
 //! Strong simulation's maximum relation deliberately ignores how many pattern nodes
 //! share a label; `Distinct`/`Equal` constrain equal-labelled pattern nodes to distinct
 //! (resp. one) data node(s) per match witness. Like every prior axis the semantics is
 //! implemented twice — the integrated witness-closure threaded through the engine and a
 //! naive per-pair oracle — and the two must be *bit-identical* at every point of the
-//! six-axis oracle matrix: `RefineStrategy` × `BallStrategy` × `RefineSeed` ×
-//! `BallSubstrate` × `UpdatePlan` × `RepetitionSemantics`, sequential, parallel and
-//! distributed, before and after a `GraphDelta`. The shared driver lives in
+//! four-axis oracle matrix: `RefineStrategy` × `BallSubstrate` × `UpdatePlan` ×
+//! `RepetitionSemantics`, sequential, parallel and distributed, before and after a
+//! `GraphDelta`. The shared driver lives in
 //! `tests/common/` ([`common::check_matrix_point`]).
 //!
 //! The budget/bail contract is pinned too: when the product of candidate-set sizes over
@@ -27,7 +27,7 @@ use ssim_graph::{Graph, GraphDelta, Label, Pattern};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The headline property: at a random point of the six-axis matrix, the integrated
+    /// The headline property: at a random point of the four-axis matrix, the integrated
     /// repetition path and the naive per-ball oracle return bit-identical
     /// `MatchOutput`s — one-shot, through incremental sessions across a random delta
     /// (both update plans), and through the distributed runtime.
@@ -46,7 +46,7 @@ proptest! {
     }
 
     /// On label-distinct patterns the repetition closure is a gated no-op: `Distinct`
-    /// (and `Equal`) are bit-identical to `Free` — counters included — so the sixth
+    /// (and `Equal`) are bit-identical to `Free` — counters included — so the repetition
     /// axis costs nothing on the workloads the paper studies.
     #[test]
     fn non_free_semantics_gate_out_on_label_distinct_patterns(
@@ -122,10 +122,11 @@ fn equal_label_communities(communities: usize, members: usize) -> Graph {
     Graph::from_edges(labels, &edges).unwrap()
 }
 
-/// The deterministic six-axis smoke: every shape-bit combination of the matrix driver
-/// (both partition strategies included), every semantics, on a fixed repeated-label
-/// corpus and pattern with a fixed delta — the CI job that exercises cross-axis
-/// composition on every PR without proptest's runtime.
+/// The deterministic matrix smoke (named from when the matrix had six axes): every
+/// shape-bit combination of the matrix driver (both partition strategies included),
+/// every semantics, on a fixed repeated-label corpus and pattern with a fixed delta —
+/// the CI job that exercises cross-axis composition on every PR without proptest's
+/// runtime.
 #[test]
 fn six_axis_matrix_smoke() {
     let data = equal_label_communities(4, 3);
@@ -135,7 +136,7 @@ fn six_axis_matrix_smoke() {
     let mut delta = GraphDelta::new();
     let (s, t) = data.edges().next().expect("corpus has edges");
     delta.delete_edge_labeled(s, t, data.label(s), data.label(t));
-    for shape_bits in 0..128u64 {
+    for shape_bits in 0..64u64 {
         for semantics in [
             RepetitionSemantics::Free,
             RepetitionSemantics::Distinct,
