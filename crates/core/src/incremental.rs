@@ -5,7 +5,11 @@
 //! per change. The paper's locality results make updates intrinsically local: every
 //! perfect subgraph lives in a ball of radius `dQ` around its center (Proposition 3), so
 //! an edge change can only affect the balls whose members lie within substrate distance
-//! `dQ` of a node the change touched. [`IncrementalMatcher`] exploits exactly that:
+//! `dQ` of a node the change touched. This module holds the per-pattern maintenance
+//! ([`PatternState`], steps 1–3 below) and the private session type
+//! [`IncrementalMatcher`]. The apply itself — substrate step, dirty sweep, restricted
+//! pass and splice (step 4) — is owned by [`crate::service::QueryService`]; an
+//! incremental `IncrementalMatcher` is a one-query service.
 //!
 //! 1. **Global relation maintenance.** Under `dual_filter`, the exact global
 //!    dual-simulation fixpoint is *maintained* across a [`GraphDelta`] instead of
@@ -32,7 +36,8 @@
 //!    the sweeps is provably bit-identical.
 //! 4. **Row splicing.** Only dirty centers re-run through the (unchanged) ball
 //!    pipeline — fresh balls, refinement, pruning, extraction — via
-//!    [`crate::strong::match_with_prepared`]; their rows are spliced into the cached
+//!    [`crate::strong::match_with_prepared`]; their rows are spliced ([`splice_rows`])
+//!    into the cached
 //!    pre-deduplication row set, and deduplication is re-applied over the splice, so the
 //!    assembled [`MatchOutput`] is bit-identical to a full recompute.
 //!
@@ -49,15 +54,13 @@ use crate::gm::GmSubstrate;
 use crate::match_graph::PerfectSubgraph;
 use crate::minimize::minimize_pattern;
 use crate::relation::MatchRelation;
+use crate::service::{QueryId, QueryService};
 use crate::simulation::RefineStrategy;
-use crate::strong::{
-    distinct_indices, match_with_prepared, match_with_prepared_counted, translate_to_outer,
-    MatchConfig, MatchOutput, MatchStats,
-};
+use crate::strong::{MatchConfig, MatchOutput};
 use ssim_graph::delta::{mark_edge_ball_centers, mark_within_distance};
 use ssim_graph::{
-    AdjView, BitSet, ExtractedSubgraph, Graph, GraphDelta, GraphEpoch, GraphError, NodeId,
-    OverlayGraph, Pattern,
+    AdjView, BitSet, ExtractedSubgraph, Graph, GraphDelta, GraphError, NodeId, OverlayGraph,
+    Pattern,
 };
 use std::collections::VecDeque;
 
@@ -266,28 +269,6 @@ pub fn update_global_fixpoint<V: AdjView>(
     }
 }
 
-/// What one delta did to a maintained [`IncrementalState`].
-pub struct DeltaEffect {
-    /// Ball centers whose cached result can have changed, in data-graph ids: nodes
-    /// within substrate distance `≤ radius` of a touched node in the pre- or post-update
-    /// substrate (Prop. 3 locality).
-    pub dirty: BitSet,
-    /// See [`FixpointUpdate::pairs_gained`] (0 without `dual_filter`).
-    pub pairs_gained: usize,
-    /// See [`FixpointUpdate::pairs_lost`] (0 without `dual_filter`).
-    pub pairs_lost: usize,
-    /// See [`FixpointUpdate::recomputed`].
-    pub relation_recomputed: bool,
-    /// The `Gm` extraction was rebuilt (matched set changed, or a delta edge landed
-    /// inside `Gm`); `false` when the cached extraction was reused or none exists.
-    pub gm_reextracted: bool,
-    /// The overlay's patch mass crossed the compaction threshold during this apply and
-    /// was folded back into a flat base CSR.
-    pub compacted: bool,
-    /// Epoch of the substrate after the apply.
-    pub epoch: GraphEpoch,
-}
-
 /// The per-pattern half of a maintained incremental session: everything a standing
 /// query carries *except* the data graph — the effective pattern, its localisation
 /// parameters, the exact global fixpoint (under `dual_filter`), the matched-node set
@@ -298,8 +279,7 @@ pub struct DeltaEffect {
 /// `PatternState` per registered query, applies each delta to the substrate once, and
 /// moves every pattern across it via [`PatternState::advance_applied`] — handing the
 /// substrate-only edge-ball sweeps in pre-computed, so they are paid once per radius
-/// instead of once per pattern. A single-pattern [`IncrementalState`] is exactly the
-/// `{substrate, pattern}` pair.
+/// instead of once per pattern. A private [`IncrementalMatcher`] is a one-query service.
 ///
 /// `Clone` is deliberate: the state is a pure, deterministic function of its
 /// construction inputs over the current graph, so a clone is bit-identical to
@@ -327,10 +307,11 @@ pub struct PatternState {
     pub gm_cache: Option<GmSubstrate>,
 }
 
-/// What one (already-applied) delta did to a [`PatternState`] — the pattern-local
-/// subset of [`DeltaEffect`], without the substrate bookkeeping.
+/// What one (already-applied) delta did to a [`PatternState`].
 pub struct PatternEffect {
-    /// See [`DeltaEffect::dirty`].
+    /// Ball centers whose cached result can have changed, in data-graph ids: nodes
+    /// within substrate distance `≤ radius` of a touched node in the pre- or post-update
+    /// substrate (Prop. 3 locality).
     pub dirty: BitSet,
     /// See [`FixpointUpdate::pairs_gained`] (0 without `dual_filter`).
     pub pairs_gained: usize,
@@ -338,7 +319,8 @@ pub struct PatternEffect {
     pub pairs_lost: usize,
     /// See [`FixpointUpdate::recomputed`].
     pub relation_recomputed: bool,
-    /// See [`DeltaEffect::gm_reextracted`].
+    /// The `Gm` extraction was rebuilt (matched set changed, or a delta edge landed
+    /// inside `Gm`); `false` when the cached extraction was reused or none exists.
     pub gm_reextracted: bool,
 }
 
@@ -388,7 +370,7 @@ impl PatternState {
         state
     }
 
-    /// The maintained state in the form [`match_with_prepared`] consumes; `None` when no
+    /// The maintained state in the form [`crate::strong::match_with_prepared`] consumes; `None` when no
     /// fixpoint is maintained (configurations without `dual_filter`).
     pub fn prepared(&self) -> Option<PreparedGlobal<'_>> {
         self.fixpoint.as_ref().map(|relation| PreparedGlobal {
@@ -415,8 +397,8 @@ impl PatternState {
     /// [`PatternState::radius`]. They are inputs (rather than computed here) so a
     /// multi-pattern caller can compute them once per distinct radius and fan them out;
     /// they are ignored when [`PatternState::sweeps_data_edges`] is `false` (the `Gm`
-    /// path sweeps its own extractions). [`IncrementalState::advance`] shows the
-    /// single-pattern composition.
+    /// path sweeps its own extractions). [`crate::service::SubstrateStep`] computes
+    /// them.
     pub fn advance_applied(
         &mut self,
         data: &OverlayGraph,
@@ -553,114 +535,6 @@ impl PatternState {
     }
 }
 
-/// The maintained substrate shared by the centralized and distributed incremental
-/// drivers: the current graph (as a layered [`OverlayGraph`] — deltas land as per-node
-/// patches in `O(patches)` instead of an `O(|V|+|E|)` CSR rebuild) plus the per-pattern
-/// half ([`PatternState`]: the exact global fixpoint under `dual_filter`, its
-/// matched-node set and the cached `Gm` extraction).
-///
-/// [`IncrementalState::advance`] moves the whole bundle across one delta and returns
-/// the dirty-center set; the drivers then re-run only those centers and splice.
-pub struct IncrementalState {
-    /// The current data graph (post all applied deltas), as a versioned overlay: the
-    /// base flat CSR plus per-node sorted insert/tombstone patches, compacted back to
-    /// flat when the patch mass crosses the policy threshold.
-    pub data: OverlayGraph,
-    /// The per-pattern maintained state over [`Self::data`].
-    pub pattern: PatternState,
-}
-
-impl IncrementalState {
-    /// Builds the state for a fresh graph: computes the global fixpoint and the `Gm`
-    /// extraction the configuration calls for.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        pattern: &Pattern,
-        data: Graph,
-        minimize: bool,
-        radius_override: Option<usize>,
-        dual_filter: bool,
-        substrate: BallSubstrate,
-        refine_strategy: RefineStrategy,
-    ) -> Self {
-        let data = OverlayGraph::new(data);
-        let pattern = PatternState::new(
-            pattern,
-            &data,
-            minimize,
-            radius_override,
-            dual_filter,
-            substrate,
-            refine_strategy,
-        );
-        IncrementalState { data, pattern }
-    }
-
-    /// The maintained state in the form [`match_with_prepared`] consumes; `None` when no
-    /// fixpoint is maintained (configurations without `dual_filter`).
-    pub fn prepared(&self) -> Option<PreparedGlobal<'_>> {
-        self.pattern.prepared()
-    }
-
-    /// Moves the state across one delta and reports the dirty centers.
-    ///
-    /// The delta lands on the overlay in `O(patches)` — validation runs against the
-    /// merged state, the per-node patch arrays absorb the edits, and the epoch advances;
-    /// a flat CSR is rebuilt only when the overlay's compaction threshold trips. The
-    /// substrate-only edge-ball sweeps run here (pre-update side before the patches
-    /// land, post-update side after), then [`PatternState::advance_applied`] does the
-    /// pattern-local half — the exact composition a multi-pattern service performs with
-    /// the sweeps shared across patterns.
-    pub fn advance(&mut self, delta: &GraphDelta) -> Result<DeltaEffect, GraphError> {
-        let n = self.data.node_count();
-
-        // The non-Gm dirty sweep walks the *pre-update* substrate too — but only the
-        // *deleted* edges matter there: an edge's effects (its presence in a ball, and
-        // any ball-membership shift riding a path through it) exist on the side of the
-        // update where the edge does, so deletions localise in the pre-update graph and
-        // insertions in the post-update one. Per edge, exactly the centers holding both
-        // endpoints within `dQ` are dirtied — the balls that contain the edge. Sweeping
-        // the old side before the patches land costs bounded walks and no snapshot. The
-        // Gm path sweeps the cached old extraction instead.
-        let mut pre_edge_dirty = BitSet::new(n);
-        if self.pattern.sweeps_data_edges() {
-            let deleted: Vec<(NodeId, NodeId)> = delta.deleted_edges().collect();
-            mark_edge_ball_centers(
-                &self.data,
-                &deleted,
-                self.pattern.radius,
-                &mut pre_edge_dirty,
-            );
-        }
-        let compactions_before = self.data.compactions();
-        // Validates against the merged state first; the whole bundle is untouched on error.
-        self.data.apply_delta(delta)?;
-        let mut post_edge_dirty = BitSet::new(n);
-        if self.pattern.sweeps_data_edges() {
-            let inserted: Vec<(NodeId, NodeId)> = delta.inserted_edges().collect();
-            mark_edge_ball_centers(
-                &self.data,
-                &inserted,
-                self.pattern.radius,
-                &mut post_edge_dirty,
-            );
-        }
-
-        let eff =
-            self.pattern
-                .advance_applied(&self.data, delta, &pre_edge_dirty, &post_edge_dirty);
-        Ok(DeltaEffect {
-            dirty: eff.dirty,
-            pairs_gained: eff.pairs_gained,
-            pairs_lost: eff.pairs_lost,
-            relation_recomputed: eff.relation_recomputed,
-            gm_reextracted: eff.gm_reextracted,
-            compacted: self.data.compactions() > compactions_before,
-            epoch: self.data.epoch(),
-        })
-    }
-}
-
 /// Sweeps one cached `Gm` extraction for dirty centers: dQ-bounded BFS from the
 /// candidacy-changed seeds plus exact ball-containment marking for the delta edges
 /// material to this side, all in the extraction's dense ids, translated back to outer
@@ -741,7 +615,7 @@ pub struct UpdateStats {
     pub relation_recomputed: bool,
     /// The `Gm` extraction was rebuilt rather than reused.
     pub gm_reextracted: bool,
-    /// The dirty fraction crossed [`DIRTY_BAIL_FRACTION`] and the matcher fell back to
+    /// The dirty fraction crossed the service's `DIRTY_BAIL_FRACTION` (0.85) and the apply fell back to
     /// one unrestricted pass instead of paying region extraction and splicing on top of
     /// a near-total invalidation (`dirty_balls` reports `|V|` in that case).
     pub dirty_bailed: bool,
@@ -749,21 +623,32 @@ pub struct UpdateStats {
     pub overlay_compacted: bool,
 }
 
-/// Per-plan state of the matcher: the incremental plan maintains
-/// [`IncrementalState`] + cached rows, the recompute oracle only the graph.
+impl UpdateStats {
+    /// The accounting of a full pass over `n` centers: every ball is dirty.
+    pub(crate) fn full_pass(n: usize) -> Self {
+        UpdateStats {
+            dirty_balls: n,
+            ..UpdateStats::default()
+        }
+    }
+}
+
+/// Per-plan state of the matcher: the incremental plan is a one-query [`QueryService`],
+/// the recompute oracle keeps a flat graph and its own output.
 enum PlanState {
     Incremental {
-        state: Box<IncrementalState>,
-        /// Pre-deduplication rows (ascending ball center, data-graph ids) — kept
-        /// separately only when the configuration deduplicates, because deduplication
-        /// is a cross-row operation that must be re-applied over every splice. With
-        /// dedup off, `output.subgraphs` itself is the row cache and splices happen in
-        /// place, clone-free.
-        dedup_rows: Option<Vec<PerfectSubgraph>>,
+        service: Box<QueryService>,
+        id: QueryId,
     },
-    Recompute {
-        data: Graph,
-    },
+    Recompute(Box<Recompute>),
+}
+
+/// The recompute oracle: a flat graph, rebuilt per delta, and a full re-match.
+struct Recompute {
+    pattern: Pattern,
+    data: Graph,
+    output: MatchOutput,
+    last_update: UpdateStats,
 }
 
 /// A strong-simulation session over a mutating data graph.
@@ -773,71 +658,33 @@ enum PlanState {
 /// [`crate::strong::strong_simulation`] on the updated graph with the same
 /// configuration. `config.update_plan` picks the maintenance strategy —
 /// [`UpdatePlan::Incremental`] (the default) or the [`UpdatePlan::Recompute`] oracle.
+/// The incremental plan owns no apply of its own: it is a [`QueryService`] holding this
+/// one query, so the session and the service are one code path.
 pub struct IncrementalMatcher {
-    pattern: Pattern,
     config: MatchConfig,
     plan: PlanState,
-    output: MatchOutput,
-    last_update: UpdateStats,
 }
+
+/// The incremental plan's query is registered at construction and never deregistered.
+const SOLE_QUERY: &str = "the session's query stays registered";
 
 impl IncrementalMatcher {
     /// Runs the initial match over `data` and caches everything the chosen plan needs.
     pub fn new(pattern: &Pattern, data: Graph, config: MatchConfig) -> Self {
-        let n = data.node_count();
-        let (plan, output) = match config.update_plan {
-            UpdatePlan::Recompute => {
-                let output = crate::strong::strong_simulation(pattern, &data, &config);
-                (PlanState::Recompute { data }, output)
-            }
+        let plan = match config.update_plan {
+            UpdatePlan::Recompute => PlanState::Recompute(Box::new(Recompute {
+                output: crate::strong::strong_simulation(pattern, &data, &config),
+                last_update: UpdateStats::full_pass(data.node_count()),
+                pattern: pattern.clone(),
+                data,
+            })),
             UpdatePlan::Incremental => {
-                let state = Box::new(IncrementalState::new(
-                    pattern,
-                    data,
-                    config.minimize_query,
-                    config.radius_override,
-                    config.dual_filter,
-                    config.ball_substrate,
-                    config.refine_strategy,
-                ));
-                let run_cfg = MatchConfig {
-                    deduplicate: false,
-                    ..config
-                };
-                // At construction the overlay is flat — zero patches — so its base CSR
-                // *is* the current graph and the initial pass runs over it copy-free.
-                debug_assert!(state.data.is_flat());
-                let out = match_with_prepared(
-                    pattern,
-                    state.data.base(),
-                    &run_cfg,
-                    state.prepared(),
-                    None,
-                );
-                let (dedup_rows, subgraphs) = if config.deduplicate {
-                    let subgraphs = deduped_copy(&out.subgraphs);
-                    (Some(out.subgraphs), subgraphs)
-                } else {
-                    (None, out.subgraphs)
-                };
-                let output = MatchOutput {
-                    stats: refreshed_stats(out.stats, &state, subgraphs.len()),
-                    subgraphs,
-                };
-                (PlanState::Incremental { state, dedup_rows }, output)
+                let mut service = Box::new(QueryService::new(data));
+                let id = service.register(pattern, config);
+                PlanState::Incremental { service, id }
             }
         };
-        IncrementalMatcher {
-            pattern: pattern.clone(),
-            config,
-            plan,
-            output,
-            last_update: UpdateStats {
-                dirty_balls: n,
-                clean_balls: 0,
-                ..UpdateStats::default()
-            },
-        }
+        IncrementalMatcher { config, plan }
     }
 
     /// The current data graph (after every applied delta), materialised flat.
@@ -848,8 +695,8 @@ impl IncrementalMatcher {
     /// without materialising.
     pub fn data(&self) -> Graph {
         match &self.plan {
-            PlanState::Incremental { state, .. } => state.data.to_graph(),
-            PlanState::Recompute { data } => data.clone(),
+            PlanState::Incremental { service, .. } => service.data(),
+            PlanState::Recompute(oracle) => oracle.data.clone(),
         }
     }
 
@@ -857,8 +704,8 @@ impl IncrementalMatcher {
     /// a flat graph and rebuilds it per delta.
     pub fn overlay(&self) -> Option<&OverlayGraph> {
         match &self.plan {
-            PlanState::Incremental { state, .. } => Some(&state.data),
-            PlanState::Recompute { .. } => None,
+            PlanState::Incremental { service, .. } => Some(service.published()),
+            PlanState::Recompute(_) => None,
         }
     }
 
@@ -869,13 +716,19 @@ impl IncrementalMatcher {
 
     /// The match result over the current graph.
     pub fn output(&self) -> &MatchOutput {
-        &self.output
+        match &self.plan {
+            PlanState::Incremental { service, id } => service.output(*id).expect(SOLE_QUERY),
+            PlanState::Recompute(oracle) => &oracle.output,
+        }
     }
 
     /// Work accounting of the most recent [`IncrementalMatcher::apply`] (or of the
     /// initial run, where every ball is dirty by definition).
     pub fn last_update(&self) -> &UpdateStats {
-        &self.last_update
+        match &self.plan {
+            PlanState::Incremental { service, id } => service.last_update(*id).expect(SOLE_QUERY),
+            PlanState::Recompute(oracle) => &oracle.last_update,
+        }
     }
 
     /// Applies one validated batch of edge updates and refreshes the cached output.
@@ -883,356 +736,39 @@ impl IncrementalMatcher {
     /// Returns the refreshed output; fails (leaving the session untouched) when the
     /// delta does not validate against the current graph.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<&MatchOutput, GraphError> {
-        match &mut self.plan {
-            PlanState::Recompute { data } => {
-                let new_data = data.apply_delta(delta)?;
-                self.output =
-                    crate::strong::strong_simulation(&self.pattern, &new_data, &self.config);
-                self.last_update = UpdateStats {
-                    dirty_balls: new_data.node_count(),
-                    clean_balls: 0,
-                    ..UpdateStats::default()
-                };
-                *data = new_data;
-            }
-            PlanState::Incremental { state, dedup_rows } => {
-                let effect = state.advance(delta)?;
-                let run_cfg = MatchConfig {
-                    deduplicate: false,
-                    ..self.config
-                };
-                let n = state.data.node_count();
-                // Adaptive dirty-fraction bail: when the delta invalidates nearly every
-                // ball, region extraction + splicing costs more than the unrestricted
-                // pass it would orchestrate, so run from scratch and replace the cache
-                // wholesale.
-                let bailed = effect.dirty.len() > (DIRTY_BAIL_FRACTION * n as f64) as usize;
-                if bailed {
-                    let out = run_pass(&self.pattern, state, &run_cfg, None);
-                    match dedup_rows {
-                        Some(rows) => {
-                            *rows = out.subgraphs;
-                            self.output.subgraphs = deduped_copy(rows);
-                        }
-                        None => self.output.subgraphs = out.subgraphs,
-                    }
-                    self.output.stats =
-                        refreshed_stats(out.stats, state, self.output.subgraphs.len());
-                } else {
-                    let out = run_pass(&self.pattern, state, &run_cfg, Some(&effect.dirty));
-                    match dedup_rows {
-                        Some(rows) => {
-                            splice_rows(rows, &effect.dirty, out.subgraphs);
-                            self.output.subgraphs = deduped_copy(rows);
-                        }
-                        None => {
-                            splice_rows(&mut self.output.subgraphs, &effect.dirty, out.subgraphs)
-                        }
-                    }
-                    self.output.stats =
-                        refreshed_stats(out.stats, state, self.output.subgraphs.len());
-                }
-                self.last_update = UpdateStats {
-                    dirty_balls: if bailed { n } else { effect.dirty.len() },
-                    clean_balls: if bailed { 0 } else { n - effect.dirty.len() },
-                    pairs_gained: effect.pairs_gained,
-                    pairs_lost: effect.pairs_lost,
-                    relation_recomputed: effect.relation_recomputed,
-                    gm_reextracted: effect.gm_reextracted,
-                    dirty_bailed: bailed,
-                    overlay_compacted: effect.compacted,
-                };
-            }
-        }
-        Ok(&self.output)
+        self.apply_batch(std::slice::from_ref(delta))
     }
 
-    /// Applies a batch of deltas as **one** maintenance step: the stream is composed
-    /// into its net delta ([`GraphDelta::then`]) and fed through a single
-    /// [`IncrementalMatcher::apply`], so invalidation, fixpoint maintenance and the
-    /// restricted re-match are paid once per batch instead of once per delta. The
-    /// result is identical to applying the deltas one by one — the net delta produces
-    /// the same final graph, and the cached output only ever depends on the current
-    /// graph.
+    /// Applies a batch of deltas as **one** maintenance step
+    /// ([`QueryService::apply_batch`]): the stream is composed into its net delta
+    /// ([`GraphDelta::then`]), so invalidation, fixpoint maintenance and the restricted
+    /// re-match are paid once per batch instead of once per delta. The result is
+    /// identical to applying the deltas one by one — the net delta produces the same
+    /// final graph, and the cached output only ever depends on the current graph.
     ///
-    /// Each delta must validate against the graph its predecessors produce; the stream
-    /// is staged on a cheap overlay snapshot first, so a mid-stream validation error
-    /// leaves the session untouched. The recompute oracle applies the stream
-    /// sequentially and re-matches once at the end.
+    /// Each delta must validate against the graph its predecessors produce; a
+    /// mid-stream validation error leaves the session untouched. The recompute oracle
+    /// applies the stream sequentially and re-matches once at the end.
     pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<&MatchOutput, GraphError> {
-        let [first, rest @ ..] = deltas else {
-            return Ok(&self.output);
-        };
-        if rest.is_empty() {
-            return self.apply(first);
-        }
         match &mut self.plan {
-            PlanState::Recompute { data } => {
-                let mut new_data = data.apply_delta(first)?;
-                for d in rest {
-                    new_data = new_data.apply_delta(d)?;
-                }
-                self.output =
-                    crate::strong::strong_simulation(&self.pattern, &new_data, &self.config);
-                self.last_update = UpdateStats {
-                    dirty_balls: new_data.node_count(),
-                    clean_balls: 0,
-                    ..UpdateStats::default()
-                };
-                *data = new_data;
-                Ok(&self.output)
+            PlanState::Incremental { service, .. } => {
+                service.apply_batch(deltas)?;
             }
-            PlanState::Incremental { state, .. } => {
-                // Stage the stream on a snapshot (O(patch-slots) clone — the base CSR
-                // is shared) to validate its order-sensitive legality up front.
-                let mut staged = state.data.clone();
-                for d in deltas {
-                    staged.apply_delta(d)?;
+            PlanState::Recompute(oracle) => {
+                if let [first, rest @ ..] = deltas {
+                    let mut data = oracle.data.apply_delta(first)?;
+                    for d in rest {
+                        data = data.apply_delta(d)?;
+                    }
+                    oracle.output =
+                        crate::strong::strong_simulation(&oracle.pattern, &data, &self.config);
+                    oracle.last_update = UpdateStats::full_pass(data.node_count());
+                    oracle.data = data;
                 }
-                let mut net = first.clone();
-                for d in rest {
-                    net = net.then(d);
-                }
-                self.apply(&net)
             }
         }
+        Ok(self.output())
     }
-}
-
-/// Dirty fraction above which [`IncrementalMatcher::apply`] abandons the restricted
-/// pass. Chosen well above the densest committed bench row (`update-overlap-chain-5pct`
-/// invalidates ~0.64 of the balls and still wins incrementally) so the bail only fires
-/// on genuinely global deltas.
-pub(crate) const DIRTY_BAIL_FRACTION: f64 = 0.85;
-
-/// Per-apply memo of the pure, pattern-independent data representations
-/// [`run_pattern_pass`] builds: the flat materialisation of the overlay and the dirty-
-/// region extraction. Both are functions of `(graph, radius, dirty set)` alone, so a
-/// multi-pattern caller passing one cache across its per-pattern passes shares them
-/// bit-identically — the pass consumes the same *value* it would have built itself.
-///
-/// The cache is only valid for one substrate version: drop it (or build a fresh one)
-/// after every delta application.
-#[derive(Default)]
-pub struct SubstrateCache {
-    /// The overlay merged flat, shared by every pass that needs a whole-graph CSR.
-    flat: Option<Graph>,
-    /// One entry per distinct `(radius, dirty)` request this apply; registered queries
-    /// are few, so a linear scan beats any keyed structure.
-    regions: Vec<RegionEntry>,
-    /// Times a memoised value was served instead of rebuilt (flat + region combined).
-    reuses: usize,
-    /// Times a value was built into the cache (flat + region combined).
-    builds: usize,
-}
-
-/// A memoised dirty-region extraction: the region decision for one `(radius, dirty)`
-/// pair. `extraction: None` records that the region grew past the half-graph threshold
-/// and the pass fell back to the flat path — a decision worth memoising too, since it
-/// cost the region BFS to make.
-struct RegionEntry {
-    radius: usize,
-    dirty: BitSet,
-    extraction: Option<(ExtractedSubgraph, BitSet)>,
-}
-
-impl SubstrateCache {
-    /// An empty cache for one substrate version.
-    pub fn new() -> Self {
-        SubstrateCache::default()
-    }
-
-    /// `(reuses, builds)` of memoised representations so far.
-    pub fn counters(&self) -> (usize, usize) {
-        (self.reuses, self.builds)
-    }
-
-    /// The flat materialisation of `data`, built on first request.
-    fn flat(&mut self, data: &OverlayGraph) -> &Graph {
-        if self.flat.is_none() {
-            self.builds += 1;
-            self.flat = Some(data.to_graph());
-        } else {
-            self.reuses += 1;
-        }
-        self.flat.as_ref().expect("just ensured")
-    }
-
-    /// Ensures the region entry for `(radius, dirty)` exists and returns its index.
-    fn ensure_region(&mut self, data: &OverlayGraph, radius: usize, dirty: &BitSet) -> usize {
-        if let Some(i) = self
-            .regions
-            .iter()
-            .position(|e| e.radius == radius && &e.dirty == dirty)
-        {
-            self.reuses += 1;
-            return i;
-        }
-        self.builds += 1;
-        let n = data.node_count();
-        let mut region = BitSet::new(n);
-        mark_within_distance(
-            data,
-            dirty.iter().map(NodeId::from_index),
-            radius,
-            &mut region,
-        );
-        // Region extraction only pays while the untouched remainder is large: past
-        // half the graph, building, indexing and translating an almost-full induced
-        // copy costs more than the bulk `to_graph` merge (patched nodes re-merge,
-        // untouched nodes memcpy) plus a dirty-restricted full-graph pass.
-        let extraction = if region.len() * 2 > n {
-            None
-        } else {
-            let sub = ExtractedSubgraph::induced(data, &region);
-            let mut dirty_inner = BitSet::new(sub.node_count());
-            for c in dirty.iter() {
-                let inner = sub
-                    .inner_of(NodeId::from_index(c))
-                    .expect("dirty centers are within distance 0 of themselves");
-                dirty_inner.insert(inner.index());
-            }
-            Some((sub, dirty_inner))
-        };
-        self.regions.push(RegionEntry {
-            radius,
-            dirty: dirty.clone(),
-            extraction,
-        });
-        self.regions.len() - 1
-    }
-}
-
-/// One restricted (or full) pass of the ball pipeline against the maintained state,
-/// choosing the cheapest data representation the configuration admits:
-///
-/// * **Prepared match-graph runs** (`dual_filter` + cached `Gm`, or an empty fixpoint)
-///   never touch raw data adjacency — [`match_with_prepared_counted`] runs straight off
-///   the overlay-maintained state with no flat graph at all.
-/// * **Unprepared runs** (no `dual_filter` — the plain-`Match` shapes) with a dirty set
-///   localise first: every dirty ball lives within `radius` of its center (Prop. 3), so
-///   the pass extracts the dirty region `D⁺` (all nodes within `radius` of a dirty
-///   center) from the overlay and runs over that dense subgraph. Ball membership,
-///   distances (hence borders) and induced edges inside `D⁺` equal the full graph's —
-///   a ball only ever sees nodes within `radius` of its center, and shortest paths of
-///   length `≤ radius` from a dirty center stay inside `D⁺` — so the translated rows
-///   are bit-identical to a full-graph pass. When `D⁺` covers more than half of `|V|`
-///   the extraction stops paying and the pass falls back to one bulk materialisation
-///   with the same dirty restriction.
-/// * Everything else (full passes without `Gm`, and the `dual_filter` + full-graph
-///   oracle substrate) materialises the overlay once — status-quo cost, oracle-only
-///   shapes.
-fn run_pass(
-    pattern: &Pattern,
-    state: &IncrementalState,
-    run_cfg: &MatchConfig,
-    dirty: Option<&BitSet>,
-) -> MatchOutput {
-    run_pattern_pass(pattern, &state.data, &state.pattern, run_cfg, dirty, None)
-}
-
-/// [`run_pass`] over split substrate/pattern state, with an optional shared
-/// [`SubstrateCache`]. With a cache, the flat materialisation and the dirty-region
-/// extraction are memoised across calls against the same substrate version; without
-/// one, a throwaway cache reproduces the single-pattern behaviour exactly. Because the
-/// memoised values are pure functions of `(graph, radius, dirty)`, a cached pass
-/// returns output **and stats** bit-identical to an uncached one.
-pub(crate) fn run_pattern_pass(
-    pattern: &Pattern,
-    data: &OverlayGraph,
-    ps: &PatternState,
-    run_cfg: &MatchConfig,
-    dirty: Option<&BitSet>,
-    cache: Option<&mut SubstrateCache>,
-) -> MatchOutput {
-    let n = data.node_count();
-    let mut local = SubstrateCache::new();
-    let cache = match cache {
-        Some(c) => c,
-        None => &mut local,
-    };
-    if let Some(p) = ps.prepared() {
-        if p.gm.is_some() || !p.relation.is_total() {
-            return match_with_prepared_counted(pattern, n, run_cfg, p, dirty);
-        }
-        let flat = cache.flat(data);
-        return match_with_prepared(pattern, flat, run_cfg, Some(p), dirty);
-    }
-    let Some(dirty) = dirty else {
-        let flat = cache.flat(data);
-        return match_with_prepared(pattern, flat, run_cfg, None, None);
-    };
-    // The region only grows from the dirty set; past half the graph the
-    // extraction loses to the bulk merge, so skip even the region sweep.
-    if dirty.len() * 2 > n {
-        let flat = cache.flat(data);
-        return match_with_prepared(pattern, flat, run_cfg, None, Some(dirty));
-    }
-    let entry = cache.ensure_region(data, ps.radius, dirty);
-    if cache.regions[entry].extraction.is_none() {
-        let flat = cache.flat(data);
-        return match_with_prepared(pattern, flat, run_cfg, None, Some(dirty));
-    }
-    let (sub, dirty_inner) = cache.regions[entry]
-        .extraction
-        .as_ref()
-        .expect("checked above");
-    let out = match_with_prepared(pattern, sub.graph(), run_cfg, None, Some(dirty_inner));
-    // The extraction's id map is monotone, so translated rows keep their
-    // ascending-center order and splice directly.
-    MatchOutput {
-        subgraphs: out
-            .subgraphs
-            .into_iter()
-            .map(|row| translate_to_outer(row, sub))
-            .collect(),
-        stats: out.stats,
-    }
-}
-
-/// Copies the structurally distinct rows, keeping the first occurrence of each
-/// structure — the matcher's dedup, re-applied over every splice (deduplication is a
-/// cross-row operation: a dirty center's new row can legitimise or shadow a clean
-/// center's cached one, so it can never be cached per row). Clones only the kept rows,
-/// so the per-update cost tracks the output size, not the cache size.
-pub(crate) fn deduped_copy(rows: &[PerfectSubgraph]) -> Vec<PerfectSubgraph> {
-    distinct_indices(rows)
-        .into_iter()
-        .map(|i| rows[i].clone())
-        .collect()
-}
-
-/// Describes the session's current state in the stats carried by the cached output
-/// (work counters keep describing the most recent — restricted — run).
-fn refreshed_stats(
-    stats: MatchStats,
-    state: &IncrementalState,
-    subgraph_count: usize,
-) -> MatchStats {
-    refreshed_pattern_stats(
-        stats,
-        &state.pattern,
-        state.data.node_count(),
-        subgraph_count,
-    )
-}
-
-/// [`refreshed_stats`] over split substrate/pattern state, for callers (the query
-/// service) that do not hold an [`IncrementalState`].
-pub(crate) fn refreshed_pattern_stats(
-    mut stats: MatchStats,
-    ps: &PatternState,
-    node_count: usize,
-    subgraph_count: usize,
-) -> MatchStats {
-    stats.perfect_subgraphs = subgraph_count;
-    stats.radius = ps.radius;
-    stats.balls_considered = node_count;
-    if let Some(gm) = &ps.gm_cache {
-        stats.gm_nodes = gm.subgraph().node_count();
-        stats.gm_edges = gm.subgraph().edge_count();
-    }
-    stats
 }
 
 #[cfg(test)]

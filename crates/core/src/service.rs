@@ -1,12 +1,14 @@
-//! Multi-pattern query service: standing queries over one shared, mutating graph.
+//! Multi-pattern query service: standing queries over one shared, mutating graph — and
+//! the only code that applies a delta to a maintained match.
 //!
-//! Everything else in this crate is one-pattern-one-shot (or one-pattern-one-session);
-//! production traffic is many concurrent patterns standing over the same data graph.
-//! Naively that is N independent [`crate::incremental::IncrementalMatcher`] sessions —
-//! N private copies of the substrate, N delta applications, N edge-ball sweeps and N
-//! region extractions per update, even though every one of those is a pure function of
-//! the *shared* graph. [`QueryService`] collapses the redundancy without giving up the
-//! per-pattern bit-identity contract:
+//! Production traffic is many concurrent patterns standing over the same data graph.
+//! Naively that is N independent sessions — N private copies of the substrate, N delta
+//! applications, N edge-ball sweeps and N region extractions per update, even though
+//! every one of those is a pure function of the *shared* graph. [`QueryService`]
+//! collapses the redundancy without giving up the per-pattern bit-identity contract.
+//! It owns the apply: a private [`crate::incremental::IncrementalMatcher`] session is a
+//! one-query service, and the distributed service reuses the substrate half of the
+//! apply ([`SubstrateStep`], [`fold_batch`]) with its own per-query coordinator pass.
 //!
 //! 1. **One substrate.** The registry holds a single epoch-versioned
 //!    [`VersionedGraph`]; every registered query's [`PatternState`] (fixpoint, matched
@@ -27,10 +29,11 @@
 //!    overlapping label signatures ([`QueryService::signature_groups`]) are where the
 //!    sharing bites: same-radius patterns over the same labels produce identical dirty
 //!    sets, so their sweeps and region extractions collapse to one.
-//! 4. **Bit-identity.** Every shared value is a pure function of inputs an independent
-//!    session would compute for itself, so each query's [`MatchOutput`] — rows *and*
-//!    stats — is bit-identical to a private `IncrementalMatcher` fed the same deltas.
-//!    `tests/service_equivalence.rs` pins that differential oracle property-style.
+//! 4. **Bit-identity.** Every shared value is a pure function of inputs a one-query
+//!    service would compute for itself, so each query's [`MatchOutput`] — rows *and*
+//!    stats — is bit-identical to a private session fed the same deltas, and its rows
+//!    equal a one-shot [`crate::strong::strong_simulation`] on the current graph.
+//!    `tests/service_equivalence.rs` pins both property-style.
 //!
 //! Patterns enter through the fluent [`PatternBuilder`]
 //! (`.component(..)`, `.one_way_direction(..)` chains → a validated [`Pattern`]):
@@ -53,17 +56,18 @@
 //! assert!(service.output(id).unwrap().is_match());
 //! ```
 
-use crate::incremental::{
-    deduped_copy, refreshed_pattern_stats, run_pattern_pass, splice_rows, PatternState,
-    SubstrateCache, UpdatePlan, UpdateStats, DIRTY_BAIL_FRACTION,
-};
+use crate::incremental::{splice_rows, PatternState, UpdatePlan, UpdateStats};
 use crate::match_graph::PerfectSubgraph;
-use crate::strong::{match_with_prepared, MatchConfig, MatchOutput};
-use ssim_graph::delta::mark_edge_ball_centers;
-use ssim_graph::{
-    BitSet, Graph, GraphDelta, GraphEpoch, GraphError, Label, NodeId, Pattern, SnapshotHandle,
-    VersionedGraph,
+use crate::strong::{
+    distinct_indices, match_with_prepared, match_with_prepared_counted, translate_to_outer,
+    MatchConfig, MatchOutput, MatchStats,
 };
+use ssim_graph::delta::{mark_edge_ball_centers, mark_within_distance};
+use ssim_graph::{
+    BitSet, ExtractedSubgraph, Graph, GraphDelta, GraphEpoch, GraphError, Label, NodeId,
+    OverlayGraph, Pattern, SnapshotHandle, VersionedGraph,
+};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A structural error found while assembling a pattern through [`PatternBuilder`].
@@ -201,19 +205,16 @@ impl PatternBuilder {
 pub struct QueryId(pub usize);
 
 /// One registered standing query: its pattern, configuration, maintained
-/// [`PatternState`] and cached output — everything an [`IncrementalMatcher`] session
-/// owns except the substrate.
-///
-/// [`IncrementalMatcher`]: crate::incremental::IncrementalMatcher
+/// [`PatternState`] and cached output — everything but the shared substrate.
 struct Session {
     pattern: Pattern,
     config: MatchConfig,
     signature: BTreeSet<Label>,
     state: PatternState,
-    /// Pre-deduplication rows; present exactly when the configuration deduplicates
-    /// (the same split [`IncrementalMatcher`] keeps).
-    ///
-    /// [`IncrementalMatcher`]: crate::incremental::IncrementalMatcher
+    /// Pre-deduplication rows (ascending ball center, data-graph ids); present exactly
+    /// when the configuration deduplicates, because deduplication is a cross-row
+    /// operation that must be re-applied over every splice. Otherwise
+    /// `output.subgraphs` itself is the row cache and splices happen in place.
     dedup_rows: Option<Vec<PerfectSubgraph>>,
     output: MatchOutput,
     last_update: UpdateStats,
@@ -265,9 +266,8 @@ pub struct ServiceUpdate {
 ///
 /// See the [module docs](self) for the sharing model. The contract: after every
 /// [`QueryService::apply`], each registered query's [`QueryService::output`] is
-/// bit-identical — rows and stats — to a private
-/// [`crate::incremental::IncrementalMatcher`] constructed on the same initial graph
-/// with the same configuration and fed the same deltas.
+/// bit-identical — rows and stats — to a service holding that query alone, constructed
+/// on the same initial graph and fed the same deltas.
 pub struct QueryService {
     substrate: VersionedGraph,
     sessions: Vec<Option<Session>>,
@@ -308,14 +308,16 @@ impl QueryService {
             update_plan: UpdatePlan::Incremental,
             ..config
         };
-        // Mirror `IncrementalMatcher::new`: one unrestricted prepared pass over the
-        // current graph (copy-free off the base CSR while the overlay is flat).
-        let out = if data.is_flat() {
-            match_with_prepared(pattern, data.base(), &run_cfg, state.prepared(), None)
+        // One unrestricted prepared pass over the current graph (copy-free off the base
+        // CSR while the overlay is flat).
+        let flat;
+        let graph = if data.is_flat() {
+            data.base()
         } else {
-            let flat = data.to_graph();
-            match_with_prepared(pattern, &flat, &run_cfg, state.prepared(), None)
+            flat = data.to_graph();
+            &flat
         };
+        let out = match_with_prepared(pattern, graph, &run_cfg, state.prepared(), None);
         let (dedup_rows, subgraphs) = if config.deduplicate {
             let subgraphs = deduped_copy(&out.subgraphs);
             (Some(out.subgraphs), subgraphs)
@@ -338,11 +340,7 @@ impl QueryService {
             state,
             dedup_rows,
             output,
-            last_update: UpdateStats {
-                dirty_balls: n,
-                clean_balls: 0,
-                ..UpdateStats::default()
-            },
+            last_update: UpdateStats::full_pass(n),
         }));
         QueryId(self.sessions.len() - 1)
     }
@@ -438,6 +436,11 @@ impl QueryService {
         self.substrate.published().to_graph()
     }
 
+    /// The published substrate version.
+    pub(crate) fn published(&self) -> &OverlayGraph {
+        self.substrate.published()
+    }
+
     /// Groups the live queries by *overlapping* label signatures (transitively: two
     /// queries sharing any label land in one group, and a third overlapping either
     /// joins them). Groups are where cross-pattern sharing concentrates — same-radius
@@ -473,94 +476,46 @@ impl QueryService {
     /// substrate and every query untouched) when the delta does not validate against
     /// the current graph.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<ServiceUpdate, GraphError> {
-        delta.validate(self.substrate.published())?;
-        let n = self.substrate.published().node_count();
-        let deleted: Vec<(NodeId, NodeId)> = delta.deleted_edges().collect();
-        let inserted: Vec<(NodeId, NodeId)> = delta.inserted_edges().collect();
-
-        // The shared halves of the dirty sweep: deleted edges localise in the
-        // pre-update graph, inserted edges in the post-update one, per distinct radius
-        // among the queries that sweep data edges (full-graph localisation); `Gm`
-        // queries sweep their own cached extractions inside `advance_applied`.
-        let mut sweeps: BTreeMap<usize, (BitSet, BitSet)> = BTreeMap::new();
-        let mut sweep_consumers = 0usize;
-        for s in self.sessions.iter().flatten() {
-            if s.state.sweeps_data_edges() {
-                sweep_consumers += 1;
-                sweeps
-                    .entry(s.state.radius)
-                    .or_insert_with(|| (BitSet::new(n), BitSet::new(n)));
-            }
-        }
-        for (radius, (pre, _)) in sweeps.iter_mut() {
-            mark_edge_ball_centers(self.substrate.published(), &deleted, *radius, pre);
-        }
-
-        let compactions_before = self.substrate.published().compactions();
-        self.substrate
-            .stage(delta)
-            .expect("validated against the published version");
-        self.substrate.publish();
+        let step = SubstrateStep::run(
+            &mut self.substrate,
+            delta,
+            self.sessions.iter().flatten().map(|s| &s.state),
+        )?;
         let data = self.substrate.published();
-        let compacted = data.compactions() > compactions_before;
-
-        for (radius, (_, post)) in sweeps.iter_mut() {
-            mark_edge_ball_centers(data, &inserted, *radius, post);
-        }
-
-        let empty = BitSet::new(n);
+        let n = data.node_count();
         let mut cache = SubstrateCache::new();
         let mut queries = Vec::new();
         for (i, slot) in self.sessions.iter_mut().enumerate() {
             let Some(sess) = slot else { continue };
-            let (pre, post) = match sweeps.get(&sess.state.radius) {
-                Some((pre, post)) if sess.state.sweeps_data_edges() => (pre, post),
-                _ => (&empty, &empty),
-            };
+            let (pre, post) = step.edge_dirty(&sess.state);
             let effect = sess.state.advance_applied(data, delta, pre, post);
-            // From here the per-query path mirrors `IncrementalMatcher::apply` exactly
-            // — same bail, same restricted pass (modulo the shared cache, which only
-            // memoises values the private pass would compute identically), same splice
-            // and re-deduplication.
             let run_cfg = MatchConfig {
                 deduplicate: false,
                 ..sess.config
             };
+            // Adaptive dirty-fraction bail: when the delta invalidates nearly every ball,
+            // region extraction + splicing costs more than the unrestricted pass it
+            // would orchestrate, so run from scratch and replace the rows wholesale.
             let bailed = effect.dirty.len() > (DIRTY_BAIL_FRACTION * n as f64) as usize;
-            let (out, dirty) = if bailed {
-                let out = run_pattern_pass(
-                    &sess.pattern,
-                    data,
-                    &sess.state,
-                    &run_cfg,
-                    None,
-                    Some(&mut cache),
-                );
-                (out, None)
-            } else {
-                let out = run_pattern_pass(
-                    &sess.pattern,
-                    data,
-                    &sess.state,
-                    &run_cfg,
-                    Some(&effect.dirty),
-                    Some(&mut cache),
-                );
-                (out, Some(&effect.dirty))
+            let dirty = (!bailed).then_some(&effect.dirty);
+            let out = run_pattern_pass(
+                &sess.pattern,
+                data,
+                &sess.state,
+                &run_cfg,
+                dirty,
+                &mut cache,
+            );
+            let rows = match &mut sess.dedup_rows {
+                Some(rows) => rows,
+                None => &mut sess.output.subgraphs,
             };
-            match (&mut sess.dedup_rows, dirty) {
-                (Some(rows), Some(dirty)) => {
-                    splice_rows(rows, dirty, out.subgraphs);
-                    sess.output.subgraphs = deduped_copy(rows);
-                }
-                (Some(rows), None) => {
-                    *rows = out.subgraphs;
-                    sess.output.subgraphs = deduped_copy(rows);
-                }
-                (None, Some(dirty)) => {
-                    splice_rows(&mut sess.output.subgraphs, dirty, out.subgraphs)
-                }
-                (None, None) => sess.output.subgraphs = out.subgraphs,
+            match dirty {
+                Some(dirty) => splice_rows(rows, dirty, out.subgraphs),
+                None => *rows = out.subgraphs,
+            }
+            if let Some(rows) = &sess.dedup_rows {
+                sess.output.subgraphs = deduped_copy(rows);
             }
             sess.output.stats =
                 refreshed_pattern_stats(out.stats, &sess.state, n, sess.output.subgraphs.len());
@@ -572,39 +527,30 @@ impl QueryService {
                 relation_recomputed: effect.relation_recomputed,
                 gm_reextracted: effect.gm_reextracted,
                 dirty_bailed: bailed,
-                overlay_compacted: compacted,
+                overlay_compacted: step.compacted,
             };
             queries.push(QueryUpdate {
                 id: QueryId(i),
                 stats: sess.last_update.clone(),
             });
         }
-
-        let (substrate_reuses, substrate_builds) = cache.counters();
         Ok(ServiceUpdate {
             epoch: self.substrate.epoch(),
-            compacted,
+            compacted: step.compacted,
             queries,
-            sharing: SharingStats {
-                sessions: sweep_consumers.max(self.len()),
-                edge_sweep_radii: sweeps.len(),
-                edge_sweep_consumers: sweep_consumers,
-                substrate_builds,
-                substrate_reuses,
-            },
+            sharing: step.sharing(self.len(), &cache),
         })
     }
 
-    /// Applies a batch of deltas as **one** maintenance step, mirroring
-    /// [`crate::incremental::IncrementalMatcher::apply_batch`]: the stream is staged on
-    /// a cheap overlay clone to validate its order-sensitive legality up front, folded
-    /// into its net delta ([`GraphDelta::then`]) and fed through a single
-    /// [`QueryService::apply`] — so sweeps, fixpoint maintenance and the restricted
-    /// passes are paid once per batch for *every* registered query. A mid-stream
-    /// validation error leaves the substrate and every query untouched.
+    /// Applies a batch of deltas as **one** maintenance step: the stream is folded into
+    /// its net delta ([`fold_batch`]) and fed through a single [`QueryService::apply`] —
+    /// so sweeps, fixpoint maintenance and the restricted passes are paid once per batch
+    /// for *every* registered query. A mid-stream validation error leaves the substrate
+    /// and every query untouched.
     pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<ServiceUpdate, GraphError> {
-        let [first, rest @ ..] = deltas else {
-            return Ok(ServiceUpdate {
+        match fold_batch(self.substrate.published(), deltas)? {
+            Some(net) => self.apply(&net),
+            None => Ok(ServiceUpdate {
                 epoch: self.substrate.epoch(),
                 compacted: false,
                 queries: Vec::new(),
@@ -612,26 +558,319 @@ impl QueryService {
                     sessions: self.len(),
                     ..SharingStats::default()
                 },
-            });
-        };
-        if rest.is_empty() {
-            return self.apply(first);
+            }),
         }
-        // O(patch-slots) clone — the base CSR is shared behind an Arc.
-        let mut staged = self.substrate.published().clone();
-        for d in deltas {
-            staged.apply_delta(d)?;
-        }
-        let mut net = first.clone();
-        for d in rest {
-            net = net.then(d);
-        }
-        self.apply(&net)
     }
 
     fn session(&self, id: QueryId) -> Option<&Session> {
         self.sessions.get(id.0).and_then(|s| s.as_ref())
     }
+}
+
+/// The substrate half of one service apply, written once for [`QueryService`] and the
+/// distributed service: the delta validated and landed on the shared [`VersionedGraph`]
+/// exactly once, with the data-edge ball sweeps run once per distinct radius. Deleted
+/// edges localise in the pre-update graph and inserted edges in the post-update one —
+/// per edge, exactly the centers holding both endpoints within `dQ` are dirtied (the
+/// balls that contain the edge). Patterns on the `Gm` substrate sweep their own cached
+/// extractions inside [`PatternState::advance_applied`] instead.
+pub struct SubstrateStep {
+    /// `(pre, post)` sweeps per distinct radius among the patterns that sweep data edges.
+    sweeps: BTreeMap<usize, (BitSet, BitSet)>,
+    /// What patterns that sweep their own extractions receive.
+    empty: BitSet,
+    /// Patterns that consume a shared sweep.
+    consumers: usize,
+    /// The overlay compacted back to a flat base CSR during this apply.
+    pub compacted: bool,
+}
+
+impl SubstrateStep {
+    /// Validates `delta` against the published version, sweeps its deleted edges there,
+    /// stages and publishes it, and sweeps its inserted edges on the new version — at
+    /// every radius some pattern of `states` sweeps data edges at. Fails, leaving the
+    /// substrate untouched, when the delta does not validate.
+    pub fn run<'a>(
+        substrate: &mut VersionedGraph,
+        delta: &GraphDelta,
+        states: impl IntoIterator<Item = &'a PatternState>,
+    ) -> Result<Self, GraphError> {
+        let pre_graph = substrate.published();
+        delta.validate(pre_graph)?;
+        let n = pre_graph.node_count();
+        let mut sweeps: BTreeMap<usize, (BitSet, BitSet)> = BTreeMap::new();
+        let mut consumers = 0;
+        for state in states.into_iter().filter(|s| s.sweeps_data_edges()) {
+            consumers += 1;
+            sweeps
+                .entry(state.radius)
+                .or_insert_with(|| (BitSet::new(n), BitSet::new(n)));
+        }
+        let deleted: Vec<(NodeId, NodeId)> = delta.deleted_edges().collect();
+        for (radius, (pre, _)) in sweeps.iter_mut() {
+            mark_edge_ball_centers(pre_graph, &deleted, *radius, pre);
+        }
+        let compactions_before = pre_graph.compactions();
+        substrate.stage(delta)?;
+        substrate.publish();
+        let post_graph = substrate.published();
+        let inserted: Vec<(NodeId, NodeId)> = delta.inserted_edges().collect();
+        for (radius, (_, post)) in sweeps.iter_mut() {
+            mark_edge_ball_centers(post_graph, &inserted, *radius, post);
+        }
+        Ok(SubstrateStep {
+            sweeps,
+            empty: BitSet::new(n),
+            consumers,
+            compacted: post_graph.compactions() > compactions_before,
+        })
+    }
+
+    /// The `(pre, post)` edge sweeps [`PatternState::advance_applied`] takes for `state`
+    /// (empty sets when it sweeps its own `Gm` extractions).
+    pub fn edge_dirty(&self, state: &PatternState) -> (&BitSet, &BitSet) {
+        match self.sweeps.get(&state.radius) {
+            Some((pre, post)) if state.sweeps_data_edges() => (pre, post),
+            _ => (&self.empty, &self.empty),
+        }
+    }
+
+    /// The apply's sharing accounting over `sessions` live queries, with the substrate
+    /// counters of the per-query passes' shared `cache`.
+    pub fn sharing(&self, sessions: usize, cache: &SubstrateCache) -> SharingStats {
+        let (substrate_reuses, substrate_builds) = cache.counters();
+        SharingStats {
+            sessions,
+            edge_sweep_radii: self.sweeps.len(),
+            edge_sweep_consumers: self.consumers,
+            substrate_builds,
+            substrate_reuses,
+        }
+    }
+}
+
+/// The batch fold both services share: checks each delta of the stream in order on a
+/// clone of the published overlay (`O(patch-slots)` — the base CSR is shared behind an
+/// `Arc`), so a mid-stream error leaves everything untouched, and composes the stream
+/// into its net delta ([`GraphDelta::then`]). `None` for an empty stream; a single delta
+/// comes back as is, for its apply to validate.
+pub fn fold_batch<'d>(
+    published: &OverlayGraph,
+    deltas: &'d [GraphDelta],
+) -> Result<Option<Cow<'d, GraphDelta>>, GraphError> {
+    let [first, rest @ ..] = deltas else {
+        return Ok(None);
+    };
+    if rest.is_empty() {
+        return Ok(Some(Cow::Borrowed(first)));
+    }
+    let mut staged = published.clone();
+    for d in deltas {
+        staged.apply_delta(d)?;
+    }
+    let net = rest.iter().fold(first.clone(), |net, d| net.then(d));
+    Ok(Some(Cow::Owned(net)))
+}
+
+/// Dirty fraction above which [`QueryService::apply`] abandons the restricted
+/// pass. Chosen well above the densest committed bench row (`update-overlap-chain-5pct`
+/// invalidates ~0.64 of the balls and still wins incrementally) so the bail only fires
+/// on genuinely global deltas.
+pub(crate) const DIRTY_BAIL_FRACTION: f64 = 0.85;
+
+/// Per-apply memo of the pure, pattern-independent data representations
+/// the per-query pass builds: the flat materialisation of the overlay and the dirty-
+/// region extraction. Both are functions of `(graph, radius, dirty set)` alone, so a
+/// multi-pattern caller passing one cache across its per-pattern passes shares them
+/// bit-identically — the pass consumes the same *value* it would have built itself.
+///
+/// The cache is only valid for one substrate version: drop it (or build a fresh one)
+/// after every delta application.
+#[derive(Default)]
+pub struct SubstrateCache {
+    /// The overlay merged flat, shared by every pass that needs a whole-graph CSR.
+    flat: Option<Graph>,
+    /// One entry per distinct `(radius, dirty)` request this apply; registered queries
+    /// are few, so a linear scan beats any keyed structure.
+    regions: Vec<RegionEntry>,
+    /// Times a memoised value was served instead of rebuilt (flat + region combined).
+    reuses: usize,
+    /// Times a value was built into the cache (flat + region combined).
+    builds: usize,
+}
+
+/// A memoised dirty-region extraction: the region decision for one `(radius, dirty)`
+/// pair. `extraction: None` records that the region grew past the half-graph threshold
+/// and the pass fell back to the flat path — a decision worth memoising too, since it
+/// cost the region BFS to make.
+struct RegionEntry {
+    radius: usize,
+    dirty: BitSet,
+    extraction: Option<(ExtractedSubgraph, BitSet)>,
+}
+
+impl SubstrateCache {
+    /// An empty cache for one substrate version.
+    pub fn new() -> Self {
+        SubstrateCache::default()
+    }
+
+    /// `(reuses, builds)` of memoised representations so far.
+    pub fn counters(&self) -> (usize, usize) {
+        (self.reuses, self.builds)
+    }
+
+    /// The flat materialisation of `data`, built on first request.
+    pub fn flat(&mut self, data: &OverlayGraph) -> &Graph {
+        if self.flat.is_none() {
+            self.builds += 1;
+            self.flat = Some(data.to_graph());
+        } else {
+            self.reuses += 1;
+        }
+        self.flat.as_ref().expect("just ensured")
+    }
+
+    /// Ensures the region entry for `(radius, dirty)` exists and returns its index.
+    fn ensure_region(&mut self, data: &OverlayGraph, radius: usize, dirty: &BitSet) -> usize {
+        if let Some(i) = self
+            .regions
+            .iter()
+            .position(|e| e.radius == radius && &e.dirty == dirty)
+        {
+            self.reuses += 1;
+            return i;
+        }
+        self.builds += 1;
+        let n = data.node_count();
+        let mut region = BitSet::new(n);
+        mark_within_distance(
+            data,
+            dirty.iter().map(NodeId::from_index),
+            radius,
+            &mut region,
+        );
+        // Region extraction only pays while the untouched remainder is large: past
+        // half the graph, building, indexing and translating an almost-full induced
+        // copy costs more than the bulk `to_graph` merge (patched nodes re-merge,
+        // untouched nodes memcpy) plus a dirty-restricted full-graph pass.
+        let extraction = if region.len() * 2 > n {
+            None
+        } else {
+            let sub = ExtractedSubgraph::induced(data, &region);
+            let mut dirty_inner = BitSet::new(sub.node_count());
+            for c in dirty.iter() {
+                let inner = sub
+                    .inner_of(NodeId::from_index(c))
+                    .expect("dirty centers are within distance 0 of themselves");
+                dirty_inner.insert(inner.index());
+            }
+            Some((sub, dirty_inner))
+        };
+        self.regions.push(RegionEntry {
+            radius,
+            dirty: dirty.clone(),
+            extraction,
+        });
+        self.regions.len() - 1
+    }
+}
+
+/// One restricted (or full) pass of the ball pipeline against the maintained state,
+/// choosing the cheapest data representation the configuration admits:
+///
+/// * **Prepared match-graph runs** (`dual_filter` + cached `Gm`, or an empty fixpoint)
+///   never touch raw data adjacency — [`match_with_prepared_counted`] runs straight off
+///   the overlay-maintained state with no flat graph at all.
+/// * **Unprepared runs** (no `dual_filter` — the plain-`Match` shapes) with a dirty set
+///   localise first: every dirty ball lives within `radius` of its center (Prop. 3), so
+///   the pass extracts the dirty region `D⁺` (all nodes within `radius` of a dirty
+///   center) from the overlay and runs over that dense subgraph. Ball membership,
+///   distances (hence borders) and induced edges inside `D⁺` equal the full graph's —
+///   a ball only ever sees nodes within `radius` of its center, and shortest paths of
+///   length `≤ radius` from a dirty center stay inside `D⁺` — so the translated rows
+///   are bit-identical to a full-graph pass. When `D⁺` covers more than half of `|V|`
+///   the extraction stops paying and the pass falls back to one bulk materialisation
+///   with the same dirty restriction.
+/// * Everything else (full passes without `Gm`, and the `dual_filter` + full-graph
+///   oracle substrate) materialises the overlay once — status-quo cost, oracle-only
+///   shapes.
+fn run_pattern_pass(
+    pattern: &Pattern,
+    data: &OverlayGraph,
+    ps: &PatternState,
+    run_cfg: &MatchConfig,
+    dirty: Option<&BitSet>,
+    cache: &mut SubstrateCache,
+) -> MatchOutput {
+    let n = data.node_count();
+    if let Some(p) = ps.prepared() {
+        if p.gm.is_some() || !p.relation.is_total() {
+            return match_with_prepared_counted(pattern, n, run_cfg, p, dirty);
+        }
+        let flat = cache.flat(data);
+        return match_with_prepared(pattern, flat, run_cfg, Some(p), dirty);
+    }
+    let Some(dirty) = dirty else {
+        let flat = cache.flat(data);
+        return match_with_prepared(pattern, flat, run_cfg, None, None);
+    };
+    // The region only grows from the dirty set; past half the graph the
+    // extraction loses to the bulk merge, so skip even the region sweep.
+    if dirty.len() * 2 > n {
+        let flat = cache.flat(data);
+        return match_with_prepared(pattern, flat, run_cfg, None, Some(dirty));
+    }
+    let entry = cache.ensure_region(data, ps.radius, dirty);
+    if cache.regions[entry].extraction.is_none() {
+        let flat = cache.flat(data);
+        return match_with_prepared(pattern, flat, run_cfg, None, Some(dirty));
+    }
+    let (sub, dirty_inner) = cache.regions[entry]
+        .extraction
+        .as_ref()
+        .expect("checked above");
+    let out = match_with_prepared(pattern, sub.graph(), run_cfg, None, Some(dirty_inner));
+    // The extraction's id map is monotone, so translated rows keep their
+    // ascending-center order and splice directly.
+    MatchOutput {
+        subgraphs: out
+            .subgraphs
+            .into_iter()
+            .map(|row| translate_to_outer(row, sub))
+            .collect(),
+        stats: out.stats,
+    }
+}
+
+/// Copies the structurally distinct rows, keeping the first occurrence of each
+/// structure — the matcher's dedup, re-applied over every splice (deduplication is a
+/// cross-row operation: a dirty center's new row can legitimise or shadow a clean
+/// center's cached one, so it can never be cached per row). Clones only the kept rows,
+/// so the per-update cost tracks the output size, not the cache size.
+fn deduped_copy(rows: &[PerfectSubgraph]) -> Vec<PerfectSubgraph> {
+    distinct_indices(rows)
+        .into_iter()
+        .map(|i| rows[i].clone())
+        .collect()
+}
+
+/// Describes a query's current state in the stats carried by its cached output (work
+/// counters keep describing the most recent — restricted — run).
+fn refreshed_pattern_stats(
+    mut stats: MatchStats,
+    ps: &PatternState,
+    node_count: usize,
+    subgraph_count: usize,
+) -> MatchStats {
+    stats.perfect_subgraphs = subgraph_count;
+    stats.radius = ps.radius;
+    stats.balls_considered = node_count;
+    if let Some(gm) = &ps.gm_cache {
+        stats.gm_nodes = gm.subgraph().node_count();
+        stats.gm_edges = gm.subgraph().edge_count();
+    }
+    stats
 }
 
 #[cfg(test)]

@@ -1,16 +1,13 @@
-//! Incremental distributed matching: coordinator-side delta maintenance with per-site
-//! dirty-ball routing.
+//! Incremental distributed matching: a private distributed session over a mutating
+//! graph.
 //!
-//! The coordinator owns the mutable state — the data graph, the global dual-simulation
-//! fixpoint and the `Gm` extraction, all maintained by the shared
-//! [`ssim_core::incremental::IncrementalState`] machinery — and, per
-//! [`GraphDelta`], computes the dirty-center set (the dQ-bounded locality sweep of
-//! Prop. 3) exactly like the centralized driver. The *routing* is what distribution
-//! adds: each dirty center is shipped to the site owning it, sites re-evaluate only
-//! their own dirty balls (walking their slice of the locality order, as always), and
-//! the coordinator splices the returned rows into its cached result.
-//! [`TrafficStats::dirty_balls`] / [`TrafficStats::clean_balls`] account for the split
-//! and always sum to `|V|`.
+//! [`IncrementalDistributed`] owns no apply of its own: its incremental plan is a
+//! [`DistributedQueryService`] holding this one query, which maintains the global
+//! dual-simulation fixpoint and the `Gm` extraction per [`GraphDelta`], computes the
+//! dirty-center set (the dQ-bounded locality sweep of Prop. 3) through the core
+//! service's substrate step, routes each dirty center to the site owning it and splices
+//! the returned rows into the cached result. [`TrafficStats::dirty_balls`] /
+//! [`TrafficStats::clean_balls`] account for the split and always sum to `|V|`.
 //!
 //! [`UpdatePlan::Recompute`] (on [`DistributedConfig::update_plan`]) is the oracle: it
 //! re-runs the full one-shot [`distributed_strong_simulation`] per delta. The
@@ -18,9 +15,9 @@
 //!
 //! # Surviving mid-delta site loss
 //!
-//! The maintained coordinator state (fixpoint, `Gm`, overlay) is advanced *before* the
-//! fan-out, so a site failing during an apply can only degrade that apply's **rows**,
-//! never the state — [`IncrementalDistributed::apply_with_faults`] returns a degraded
+//! The maintained state (fixpoint, `Gm`, overlay) is advanced *before* the fan-out, so
+//! a site failing during an apply can only degrade that apply's **rows**, never the
+//! state — [`IncrementalDistributed::apply_with_faults`] returns a degraded
 //! [`DistributedOutput`] whose [`DistributedOutput::lost_centers`] records exactly
 //! which cached rows are stale/missing. The *next* apply heals: previously-lost centers
 //! are unioned into its dirty set, re-routed to live sites, and their fresh rows
@@ -33,25 +30,29 @@
 use crate::error::DistError;
 use crate::fault::FaultPlan;
 use crate::runtime::{
-    distributed_strong_simulation, distributed_with_faults, distributed_with_prepared_cached,
-    distributed_with_prepared_counted, CoordinatorCache, DistributedConfig, DistributedOutput,
+    distributed_strong_simulation, distributed_with_faults, DistributedConfig, DistributedOutput,
 };
-use ssim_core::incremental::{splice_rows, IncrementalState, UpdatePlan};
-use ssim_core::simulation::RefineStrategy;
+use crate::service::DistributedQueryService;
+use ssim_core::incremental::UpdatePlan;
+use ssim_core::service::QueryId;
 use ssim_graph::{Graph, GraphDelta, OverlayGraph, Pattern};
 
-/// Per-plan coordinator state. The distributed runtime never deduplicates, so the
-/// cached `output.subgraphs` doubles as the row cache and splices happen in place.
-/// The incremental plan carries a [`CoordinatorCache`] so the partition and the
-/// substrate locality order survive across applies instead of being rebuilt per delta.
+/// Per-plan state: the incremental plan is a one-query [`DistributedQueryService`], the
+/// recompute oracle keeps a flat graph and its own output.
 enum PlanState {
     Incremental {
-        state: Box<IncrementalState>,
-        cache: CoordinatorCache,
+        service: Box<DistributedQueryService>,
+        id: QueryId,
     },
-    Recompute {
-        data: Graph,
-    },
+    Recompute(Box<Recompute>),
+}
+
+/// The recompute oracle: a flat graph, rebuilt per delta, and a full one-shot run.
+struct Recompute {
+    pattern: Pattern,
+    config: DistributedConfig,
+    data: Graph,
+    output: DistributedOutput,
 }
 
 /// A distributed strong-simulation session over a mutating data graph.
@@ -62,10 +63,7 @@ enum PlanState {
 /// [`distributed_strong_simulation`] on the updated graph (whose traffic counters, by
 /// contrast, describe only the update's own work).
 pub struct IncrementalDistributed {
-    pattern: Pattern,
-    config: DistributedConfig,
     plan: PlanState,
-    output: DistributedOutput,
 }
 
 impl IncrementalDistributed {
@@ -77,44 +75,20 @@ impl IncrementalDistributed {
         data: Graph,
         config: DistributedConfig,
     ) -> Result<Self, DistError> {
-        let (plan, output) = match config.update_plan {
-            UpdatePlan::Recompute => {
-                let output = distributed_strong_simulation(pattern, &data, &config)?;
-                (PlanState::Recompute { data }, output)
-            }
+        let plan = match config.update_plan {
+            UpdatePlan::Recompute => PlanState::Recompute(Box::new(Recompute {
+                output: distributed_strong_simulation(pattern, &data, &config)?,
+                pattern: pattern.clone(),
+                config,
+                data,
+            })),
             UpdatePlan::Incremental => {
-                // Validate before building the (expensive) maintained state.
-                config.validate(data.node_count())?;
-                let state = Box::new(IncrementalState::new(
-                    pattern,
-                    data,
-                    config.minimize_query,
-                    None,
-                    config.dual_filter,
-                    config.ball_substrate,
-                    RefineStrategy::Worklist,
-                ));
-                let mut cache = CoordinatorCache::new();
-                // At construction the overlay is flat, so its base CSR *is* the graph.
-                debug_assert!(state.data.is_flat());
-                let output = distributed_with_prepared_cached(
-                    pattern,
-                    state.data.base(),
-                    &config,
-                    state.prepared(),
-                    None,
-                    &mut cache,
-                    None,
-                )?;
-                (PlanState::Incremental { state, cache }, output)
+                let mut service = Box::new(DistributedQueryService::new(data));
+                let id = service.register(pattern, config)?;
+                PlanState::Incremental { service, id }
             }
         };
-        Ok(IncrementalDistributed {
-            pattern: pattern.clone(),
-            config,
-            plan,
-            output,
-        })
+        Ok(IncrementalDistributed { plan })
     }
 
     /// The current data graph (after every applied delta), materialised flat — an
@@ -122,16 +96,16 @@ impl IncrementalDistributed {
     /// [`IncrementalDistributed::overlay`] to inspect the serving substrate directly.
     pub fn data(&self) -> Graph {
         match &self.plan {
-            PlanState::Incremental { state, .. } => state.data.to_graph(),
-            PlanState::Recompute { data } => data.clone(),
+            PlanState::Incremental { service, .. } => service.data(),
+            PlanState::Recompute(oracle) => oracle.data.clone(),
         }
     }
 
     /// The versioned serving substrate; `None` on the recompute oracle plan.
     pub fn overlay(&self) -> Option<&OverlayGraph> {
         match &self.plan {
-            PlanState::Incremental { state, .. } => Some(&state.data),
-            PlanState::Recompute { .. } => None,
+            PlanState::Incremental { service, .. } => Some(service.published()),
+            PlanState::Recompute(_) => None,
         }
     }
 
@@ -140,14 +114,19 @@ impl IncrementalDistributed {
     /// shipping for those balls), not a full pass. After a degraded apply,
     /// [`DistributedOutput::lost_centers`] lists the rows this cache is missing.
     pub fn output(&self) -> &DistributedOutput {
-        &self.output
+        match &self.plan {
+            PlanState::Incremental { service, id } => service
+                .output(*id)
+                .expect("the session's query stays registered"),
+            PlanState::Recompute(oracle) => &oracle.output,
+        }
     }
 
     /// Applies one validated batch of edge updates: the coordinator maintains its
     /// state, routes the dirty centers to their owning sites and splices the returned
     /// rows. Fails (leaving the session untouched) when the delta does not validate.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<&DistributedOutput, DistError> {
-        self.apply_inner(delta, None)
+        self.apply_with(std::slice::from_ref(delta), None)
     }
 
     /// [`IncrementalDistributed::apply`] under a scripted [`FaultPlan`]: the apply's
@@ -160,124 +139,52 @@ impl IncrementalDistributed {
         delta: &GraphDelta,
         faults: &FaultPlan,
     ) -> Result<&DistributedOutput, DistError> {
-        self.apply_inner(delta, Some(faults))
+        self.apply_with(std::slice::from_ref(delta), Some(faults))
     }
 
-    /// Applies a batch of deltas as **one** maintenance step, mirroring
-    /// [`ssim_core::incremental::IncrementalMatcher::apply_batch`]: on the incremental
-    /// plan the stream is staged on a cheap overlay clone to validate its
-    /// order-sensitive legality up front, folded into its net delta
-    /// ([`GraphDelta::then`]) and fed through a single apply — one dirty sweep, one
-    /// routed fan-out. The recompute oracle applies the stream sequentially and re-runs
-    /// one full pass on the final graph. A mid-stream validation error leaves the
-    /// session untouched.
+    /// Applies a batch of deltas as **one** maintenance step
+    /// ([`DistributedQueryService::apply_batch`]): the stream is folded into its net
+    /// delta ([`GraphDelta::then`]) and fed through a single apply — one dirty sweep,
+    /// one routed fan-out. The recompute oracle applies the stream sequentially and
+    /// re-runs one full pass on the final graph. A mid-stream validation error leaves
+    /// the session untouched.
     pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<&DistributedOutput, DistError> {
-        let [first, rest @ ..] = deltas else {
-            return Ok(&self.output);
-        };
-        if rest.is_empty() {
-            return self.apply(first);
-        }
-        match &mut self.plan {
-            PlanState::Recompute { data } => {
-                let mut new_data = data.apply_delta(first).map_err(DistError::from)?;
-                for d in rest {
-                    new_data = new_data.apply_delta(d).map_err(DistError::from)?;
-                }
-                self.output =
-                    distributed_strong_simulation(&self.pattern, &new_data, &self.config)?;
-                *data = new_data;
-                Ok(&self.output)
-            }
-            PlanState::Incremental { state, .. } => {
-                let mut staged = state.data.clone();
-                for d in deltas {
-                    staged.apply_delta(d).map_err(DistError::from)?;
-                }
-                let mut net = first.clone();
-                for d in rest {
-                    net = net.then(d);
-                }
-                self.apply_inner(&net, None)
-            }
-        }
+        self.apply_with(deltas, None)
     }
 
-    fn apply_inner(
+    fn apply_with(
         &mut self,
-        delta: &GraphDelta,
+        deltas: &[GraphDelta],
         faults: Option<&FaultPlan>,
     ) -> Result<&DistributedOutput, DistError> {
-        // Gate before any state is advanced, so a rejected plan leaves the session
-        // untouched (the runtime's own gate would only fire after `advance`).
-        if faults.is_some_and(|plan| !plan.is_empty()) && self.config.recovery.is_none() {
-            return Err(DistError::FaultPlanNeedsRecovery);
-        }
         match &mut self.plan {
-            PlanState::Recompute { data } => {
-                let new_data = data.apply_delta(delta).map_err(DistError::from)?;
-                // The oracle recomputes every row per apply, so a previous degraded
-                // apply heals here by construction.
-                self.output = match faults {
-                    Some(plan) => {
-                        distributed_with_faults(&self.pattern, &new_data, &self.config, plan)?
-                    }
-                    None => distributed_strong_simulation(&self.pattern, &new_data, &self.config)?,
-                };
-                *data = new_data;
+            PlanState::Incremental { service, .. } => {
+                service.apply_batch_with(deltas, faults)?;
             }
-            PlanState::Incremental { state, cache } => {
-                let mut effect = state.advance(delta).map_err(DistError::from)?;
-                if effect.gm_reextracted {
-                    // The cached locality order ranked the *old* extraction's ids.
-                    cache.invalidate_locality();
+            PlanState::Recompute(oracle) => {
+                if faults.is_some_and(|plan| !plan.is_empty()) && oracle.config.recovery.is_none() {
+                    return Err(DistError::FaultPlanNeedsRecovery);
                 }
-                // Lost-center healing: centers a previous degraded apply lost have no
-                // trustworthy cached rows. Marking them dirty routes them to (live)
-                // sites again and splices their fresh rows in below — and removes any
-                // stale cached row even if this apply loses them again.
-                for &center in &self.output.lost_centers {
-                    effect.dirty.insert(center.index());
+                if let [first, rest @ ..] = deltas {
+                    let mut data = oracle.data.apply_delta(first)?;
+                    for d in rest {
+                        data = data.apply_delta(d)?;
+                    }
+                    // The oracle recomputes every row per apply, so a previous degraded
+                    // apply heals here by construction.
+                    oracle.output = match faults {
+                        Some(plan) => {
+                            distributed_with_faults(&oracle.pattern, &data, &oracle.config, plan)?
+                        }
+                        None => {
+                            distributed_strong_simulation(&oracle.pattern, &data, &oracle.config)?
+                        }
+                    };
+                    oracle.data = data;
                 }
-                let mut out = match state.prepared() {
-                    // The serving path: the whole run stays inside the maintained `Gm`
-                    // (or short-circuits on an empty fixpoint) — no flat graph at all.
-                    Some(p) if p.gm.is_some() || !p.relation.is_total() => {
-                        distributed_with_prepared_counted(
-                            &self.pattern,
-                            state.data.node_count(),
-                            &self.config,
-                            p,
-                            Some(&effect.dirty),
-                            cache,
-                            faults,
-                        )?
-                    }
-                    // Full-graph-substrate shapes localise in the raw data graph:
-                    // materialise the overlay once per apply (oracle shapes only).
-                    p => {
-                        let flat = state.data.to_graph();
-                        distributed_with_prepared_cached(
-                            &self.pattern,
-                            &flat,
-                            &self.config,
-                            p,
-                            Some(&effect.dirty),
-                            cache,
-                            faults,
-                        )?
-                    }
-                };
-                let fresh = std::mem::replace(
-                    &mut out.subgraphs,
-                    std::mem::take(&mut self.output.subgraphs),
-                );
-                splice_rows(&mut out.subgraphs, &effect.dirty, fresh);
-                out.traffic.result_subgraphs = out.subgraphs.len();
-                self.output = out;
             }
         }
-        Ok(&self.output)
+        Ok(self.output())
     }
 }
 

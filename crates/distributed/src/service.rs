@@ -1,19 +1,20 @@
 //! Multi-pattern standing queries over the fault-tolerant distributed runtime.
 //!
-//! The distributed twin of [`ssim_core::service::QueryService`]: one shared
-//! epoch-versioned substrate, per-query maintained [`PatternState`], single-sweep delta
-//! fan-out (edge-ball sweeps once per distinct radius, one flat materialisation shared
-//! by every full-graph-substrate query per apply) — but each query's restricted pass
-//! runs through the distributed coordinator: dirty centers routed to their owning
-//! sites, rows shipped back and spliced, optionally under a scripted [`FaultPlan`]
-//! with per-query lost-center healing exactly as in
-//! [`crate::incremental::IncrementalDistributed`].
+//! The distributed twin of [`ssim_core::service::QueryService`], and the only code that
+//! applies a delta to a distributed match ([`crate::incremental::IncrementalDistributed`]
+//! is a one-query service). The substrate half of an apply is the core service's:
+//! [`SubstrateStep`] lands the delta on the shared epoch-versioned substrate once and
+//! runs the edge-ball sweeps once per distinct radius, [`fold_batch`] folds a batch into
+//! its net delta, and one [`SubstrateCache`] shares the flat materialisation across the
+//! full-graph-substrate queries of an apply. What this service adds per query is the
+//! coordinator pass: dirty centers routed to their owning sites through the query's
+//! [`CoordinatorCache`], rows shipped back and spliced, optionally under a scripted
+//! [`FaultPlan`] with lost-center healing — centers a degraded apply lost are re-routed
+//! on the next one.
 //!
-//! The bit-identity contract carries over: every shared value is a pure function of
-//! inputs a private [`IncrementalDistributed`] session would compute for itself, so
-//! each query's [`DistributedOutput`] subgraphs track its private session bit for bit.
-//!
-//! [`IncrementalDistributed`]: crate::incremental::IncrementalDistributed
+//! Every shared value is a pure function of inputs a one-query service would compute
+//! for itself, so each query's [`DistributedOutput`] subgraphs track a private session
+//! bit for bit.
 
 use crate::error::DistError;
 use crate::fault::FaultPlan;
@@ -22,20 +23,17 @@ use crate::runtime::{
     DistributedConfig, DistributedOutput,
 };
 use ssim_core::incremental::{splice_rows, PatternState};
-use ssim_core::service::{QueryId, SharingStats};
+use ssim_core::service::{fold_batch, QueryId, SharingStats, SubstrateCache, SubstrateStep};
 use ssim_core::simulation::RefineStrategy;
-use ssim_graph::delta::mark_edge_ball_centers;
 use ssim_graph::{
-    BitSet, Graph, GraphDelta, GraphEpoch, NodeId, Pattern, SnapshotHandle, VersionedGraph,
+    Graph, GraphDelta, GraphEpoch, OverlayGraph, Pattern, SnapshotHandle, VersionedGraph,
 };
-use std::collections::BTreeMap;
 
 struct Session {
     pattern: Pattern,
     config: DistributedConfig,
     state: PatternState,
-    /// Partition + locality order survive across applies, exactly like a private
-    /// incremental session.
+    /// Partition + locality order survive across applies.
     cache: CoordinatorCache,
     output: DistributedOutput,
 }
@@ -90,30 +88,23 @@ impl DistributedQueryService {
             RefineStrategy::Worklist,
         );
         let mut cache = CoordinatorCache::new();
-        // Mirror `IncrementalDistributed::new`: one unrestricted pass, copy-free off
-        // the base CSR while the overlay is flat.
-        let output = if data.is_flat() {
-            distributed_with_prepared_cached(
-                pattern,
-                data.base(),
-                &config,
-                state.prepared(),
-                None,
-                &mut cache,
-                None,
-            )?
+        // One unrestricted pass, copy-free off the base CSR while the overlay is flat.
+        let flat;
+        let graph = if data.is_flat() {
+            data.base()
         } else {
-            let flat = data.to_graph();
-            distributed_with_prepared_cached(
-                pattern,
-                &flat,
-                &config,
-                state.prepared(),
-                None,
-                &mut cache,
-                None,
-            )?
+            flat = data.to_graph();
+            &flat
         };
+        let output = distributed_with_prepared_cached(
+            pattern,
+            graph,
+            &config,
+            state.prepared(),
+            None,
+            &mut cache,
+            None,
+        )?;
         self.sessions.push(Some(Session {
             pattern: pattern.clone(),
             config,
@@ -179,11 +170,16 @@ impl DistributedQueryService {
         self.substrate.published().to_graph()
     }
 
+    /// The published substrate version.
+    pub(crate) fn published(&self) -> &OverlayGraph {
+        self.substrate.published()
+    }
+
     /// Applies one validated delta: lands on the shared substrate once, sweeps dirty
     /// balls once per distinct radius, then fans out per query through the distributed
     /// coordinator. Fails before touching anything when the delta does not validate.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<DistServiceUpdate, DistError> {
-        self.apply_inner(delta, None)
+        self.apply_batch_with(std::slice::from_ref(delta), None)
     }
 
     /// [`DistributedQueryService::apply`] under a scripted [`FaultPlan`]. Every
@@ -196,41 +192,23 @@ impl DistributedQueryService {
         delta: &GraphDelta,
         faults: &FaultPlan,
     ) -> Result<DistServiceUpdate, DistError> {
-        self.apply_inner(delta, Some(faults))
+        self.apply_batch_with(std::slice::from_ref(delta), Some(faults))
     }
 
     /// Applies a batch of deltas as one maintenance step per query: the stream is
-    /// staged on a cheap overlay clone to validate its order-sensitive legality up
-    /// front, folded into its net delta and fed through a single
-    /// [`DistributedQueryService::apply`].
+    /// folded into its net delta ([`fold_batch`]) and fed through a single
+    /// [`DistributedQueryService::apply`]. A mid-stream validation error leaves the
+    /// substrate and every query untouched.
     pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<DistServiceUpdate, DistError> {
-        let [first, rest @ ..] = deltas else {
-            return Ok(DistServiceUpdate {
-                epoch: self.substrate.epoch(),
-                compacted: false,
-                sharing: SharingStats {
-                    sessions: self.len(),
-                    ..SharingStats::default()
-                },
-            });
-        };
-        if rest.is_empty() {
-            return self.apply(first);
-        }
-        let mut staged = self.substrate.published().clone();
-        for d in deltas {
-            staged.apply_delta(d).map_err(DistError::from)?;
-        }
-        let mut net = first.clone();
-        for d in rest {
-            net = net.then(d);
-        }
-        self.apply(&net)
+        self.apply_batch_with(deltas, None)
     }
 
-    fn apply_inner(
+    /// The one apply path: the fault gate, the shared substrate step, then per query
+    /// the pattern-state advance, lost-center healing, the coordinator pass and the
+    /// splice.
+    pub(crate) fn apply_batch_with(
         &mut self,
-        delta: &GraphDelta,
+        deltas: &[GraphDelta],
         faults: Option<&FaultPlan>,
     ) -> Result<DistServiceUpdate, DistError> {
         // Gate before any state moves: scripted faults require a recovery policy on
@@ -244,65 +222,44 @@ impl DistributedQueryService {
         {
             return Err(DistError::FaultPlanNeedsRecovery);
         }
-        delta
-            .validate(self.substrate.published())
-            .map_err(DistError::from)?;
-        let n = self.substrate.published().node_count();
-        let deleted: Vec<(NodeId, NodeId)> = delta.deleted_edges().collect();
-        let inserted: Vec<(NodeId, NodeId)> = delta.inserted_edges().collect();
-
-        // Shared dirty sweep: once per distinct radius among the full-graph-localising
-        // queries, pre-half on the pre-update graph.
-        let mut sweeps: BTreeMap<usize, (BitSet, BitSet)> = BTreeMap::new();
-        let mut sweep_consumers = 0usize;
-        for s in self.sessions.iter().flatten() {
-            if s.state.sweeps_data_edges() {
-                sweep_consumers += 1;
-                sweeps
-                    .entry(s.state.radius)
-                    .or_insert_with(|| (BitSet::new(n), BitSet::new(n)));
-            }
-        }
-        for (radius, (pre, _)) in sweeps.iter_mut() {
-            mark_edge_ball_centers(self.substrate.published(), &deleted, *radius, pre);
-        }
-
-        let compactions_before = self.substrate.published().compactions();
-        self.substrate
-            .stage(delta)
-            .expect("validated against the published version");
-        self.substrate.publish();
-        let compacted = self.substrate.published().compactions() > compactions_before;
-
-        for (radius, (_, post)) in sweeps.iter_mut() {
-            mark_edge_ball_centers(self.substrate.published(), &inserted, *radius, post);
-        }
-
-        // One flat materialisation shared by every full-graph-substrate query this
-        // apply (the counted path needs none at all).
-        let mut flat: Option<Graph> = None;
-        let mut flat_builds = 0usize;
-        let mut flat_reuses = 0usize;
-        let empty = BitSet::new(n);
-        for slot in self.sessions.iter_mut() {
-            let Some(sess) = slot else { continue };
-            let (pre, post) = match sweeps.get(&sess.state.radius) {
-                Some((pre, post)) if sess.state.sweeps_data_edges() => (pre, post),
-                _ => (&empty, &empty),
-            };
-            let data = self.substrate.published();
-            let mut effect = sess.state.advance_applied(data, delta, pre, post);
+        let Some(delta) = fold_batch(self.substrate.published(), deltas)? else {
+            return Ok(DistServiceUpdate {
+                epoch: self.substrate.epoch(),
+                compacted: false,
+                sharing: SharingStats {
+                    sessions: self.len(),
+                    ..SharingStats::default()
+                },
+            });
+        };
+        let step = SubstrateStep::run(
+            &mut self.substrate,
+            &delta,
+            self.sessions.iter().flatten().map(|s| &s.state),
+        )?;
+        let data = self.substrate.published();
+        let mut shared = SubstrateCache::new();
+        for sess in self.sessions.iter_mut().flatten() {
+            let (pre, post) = step.edge_dirty(&sess.state);
+            let mut effect = sess.state.advance_applied(data, &delta, pre, post);
             if effect.gm_reextracted {
+                // The cached locality order ranked the *old* extraction's ids.
                 sess.cache.invalidate_locality();
             }
+            // Lost-center healing: centers a previous degraded apply lost have no
+            // trustworthy cached rows. Marking them dirty routes them to (live) sites
+            // again and splices their fresh rows in below — and removes any stale
+            // cached row even if this apply loses them again.
             for &center in &sess.output.lost_centers {
                 effect.dirty.insert(center.index());
             }
             let mut out = match sess.state.prepared() {
+                // The serving path: the whole run stays inside the maintained `Gm` (or
+                // short-circuits on an empty fixpoint) — no flat graph at all.
                 Some(p) if p.gm.is_some() || !p.relation.is_total() => {
                     distributed_with_prepared_counted(
                         &sess.pattern,
-                        n,
+                        data.node_count(),
                         &sess.config,
                         p,
                         Some(&effect.dirty),
@@ -310,27 +267,17 @@ impl DistributedQueryService {
                         faults,
                     )?
                 }
-                p => {
-                    let flat = match &flat {
-                        Some(g) => {
-                            flat_reuses += 1;
-                            g
-                        }
-                        None => {
-                            flat_builds += 1;
-                            flat.insert(data.to_graph())
-                        }
-                    };
-                    distributed_with_prepared_cached(
-                        &sess.pattern,
-                        flat,
-                        &sess.config,
-                        p,
-                        Some(&effect.dirty),
-                        &mut sess.cache,
-                        faults,
-                    )?
-                }
+                // Full-graph-substrate shapes localise in the raw data graph: one flat
+                // materialisation per apply, shared by every such query.
+                p => distributed_with_prepared_cached(
+                    &sess.pattern,
+                    shared.flat(data),
+                    &sess.config,
+                    p,
+                    Some(&effect.dirty),
+                    &mut sess.cache,
+                    faults,
+                )?,
             };
             let fresh = std::mem::replace(
                 &mut out.subgraphs,
@@ -340,17 +287,10 @@ impl DistributedQueryService {
             out.traffic.result_subgraphs = out.subgraphs.len();
             sess.output = out;
         }
-
         Ok(DistServiceUpdate {
             epoch: self.substrate.epoch(),
-            compacted,
-            sharing: SharingStats {
-                sessions: self.len(),
-                edge_sweep_radii: sweeps.len(),
-                edge_sweep_consumers: sweep_consumers,
-                substrate_builds: flat_builds,
-                substrate_reuses: flat_reuses,
-            },
+            compacted: step.compacted,
+            sharing: step.sharing(self.len(), &shared),
         })
     }
 }
@@ -363,6 +303,7 @@ mod tests {
     use crate::partition::PartitionStrategy;
     use ssim_datasets::patterns::extract_pattern;
     use ssim_datasets::synthetic::{synthetic, SyntheticConfig};
+    use ssim_graph::NodeId;
 
     fn base_config() -> DistributedConfig {
         DistributedConfig {

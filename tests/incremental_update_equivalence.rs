@@ -485,6 +485,24 @@ mod apply_batch_label_pins {
                 &stats_before,
                 "{plan:?}: accounting untouched"
             );
+            // The distributed session folds batches through its own service.
+            let dcfg = DistributedConfig {
+                sites: 2,
+                update_plan: plan,
+                ..DistributedConfig::default()
+            };
+            let mut d = IncrementalDistributed::new(&q, data.clone(), dcfg).expect("valid config");
+            let before = d.output().subgraphs.clone();
+            assert!(
+                d.apply_batch(&[d1.clone(), bad.clone()]).is_err(),
+                "{plan:?}: the wrong pin must fail the distributed batch"
+            );
+            assert_eq!(d.data(), data, "{plan:?}: distributed graph untouched");
+            assert_eq!(
+                d.output().subgraphs,
+                before,
+                "{plan:?}: distributed rows untouched"
+            );
         }
     }
 }

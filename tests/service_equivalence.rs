@@ -26,10 +26,12 @@ use common::{assert_bit_identical, random_delta};
 use proptest::prelude::*;
 use ssim_core::incremental::IncrementalMatcher;
 use ssim_core::service::{PatternBuilder, QueryId, QueryService};
-use ssim_core::strong::MatchConfig;
+use ssim_core::strong::{strong_simulation, MatchConfig};
 use ssim_core::UpdatePlan;
 use ssim_distributed::service::DistributedQueryService;
-use ssim_distributed::{DistributedConfig, IncrementalDistributed, PartitionStrategy};
+use ssim_distributed::{
+    distributed_strong_simulation, DistributedConfig, IncrementalDistributed, PartitionStrategy,
+};
 use ssim_experiments::workloads::{experiment_pattern, DatasetKind};
 use ssim_graph::{Label, Pattern};
 
@@ -67,6 +69,7 @@ proptest! {
         let data = kind.generate(nodes, seed);
         let mut service = QueryService::new(data.clone());
         let mut oracles: Vec<(QueryId, IncrementalMatcher)> = Vec::new();
+        let mut queries: Vec<(Pattern, MatchConfig)> = Vec::new();
         for (i, &bits) in shapes.iter().enumerate() {
             let q = experiment_pattern(
                 &data,
@@ -86,12 +89,22 @@ proptest! {
                 &format!("query {i}: initial"),
             )?;
             oracles.push((id, oracle));
+            queries.push((q, config));
         }
         let mut graph = data;
         for (step, picks) in stream.iter().enumerate() {
             let delta = random_delta(&graph, picks);
             graph = graph.apply_delta(&delta).expect("random_delta validates");
             let update = service.apply(&delta).expect("delta validates");
+            // The private session above runs the service's own code, so the one-shot
+            // matcher keeps the contract independent.
+            for (i, ((id, _), (q, config))) in oracles.iter().zip(&queries).enumerate() {
+                prop_assert!(
+                    service.output(*id).unwrap().subgraphs
+                        == strong_simulation(q, &graph, config).subgraphs,
+                    "query {}: step {}: rows differ from one-shot strong_simulation", i, step
+                );
+            }
             prop_assert_eq!(update.queries.len(), oracles.len());
             for (i, (id, oracle)) in oracles.iter_mut().enumerate() {
                 oracle.apply(&delta).expect("delta validates");
@@ -250,18 +263,24 @@ proptest! {
                 service.output(id).unwrap().subgraphs == oracle.output().subgraphs,
                 "query {}: initial distributed rows", i
             );
-            oracles.push((id, oracle));
+            oracles.push((id, oracle, q));
         }
         let mut graph = data;
         for (step, picks) in stream.iter().enumerate() {
             let delta = random_delta(&graph, picks);
             graph = graph.apply_delta(&delta).expect("random_delta validates");
             service.apply(&delta).expect("delta validates");
-            for (i, (id, oracle)) in oracles.iter_mut().enumerate() {
+            for (i, (id, oracle, q)) in oracles.iter_mut().enumerate() {
                 oracle.apply(&delta).expect("delta validates");
                 prop_assert!(
                     service.output(*id).unwrap().subgraphs == oracle.output().subgraphs,
                     "query {}: step {}: distributed rows diverged", i, step
+                );
+                let oneshot = distributed_strong_simulation(q, &graph, &config)
+                    .expect("valid config");
+                prop_assert!(
+                    service.output(*id).unwrap().subgraphs == oneshot.subgraphs,
+                    "query {}: step {}: rows differ from one-shot distributed run", i, step
                 );
             }
         }
