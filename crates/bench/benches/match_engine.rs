@@ -32,8 +32,8 @@
 //! three-delta batches through `apply_batch`) measure the overlay's net-delta folding:
 //! one maintenance pass per batch instead of one per delta. Each overlap row also
 //! carries a `fault_overhead` blob pricing the distributed supervision loop when idle:
-//! the recovery-enabled runtime with nothing scripted against the fast fan-out, which
-//! CI's bench-smoke gates at ≤ 5 % overhead.
+//! the recovery-enabled runtime with nothing scripted against the same runtime without a
+//! recovery policy (`fast_secs`), which CI's bench-smoke gates at ≤ 5 % overhead.
 //!
 //! For each configuration the JSON records mean seconds per run, processed balls per
 //! second and data nodes per second, plus the speedup of the fast engine over the seed
@@ -49,10 +49,11 @@ use ssim_experiments::workloads::DatasetKind;
 use ssim_graph::GraphDelta;
 use std::time::Instant;
 
-/// Minimum wall time of one `fault_overhead` sample: the mean of back-to-back runs.
-const FAULT_SAMPLE_SECS: f64 = 0.05;
-/// `fault_overhead` samples per side; each side reports its median.
-const FAULT_ROUNDS: usize = 41;
+/// Minimum timed work in one [`alternating_medians`] sample: the mean of back-to-back
+/// runs.
+const SAMPLE_SECS: f64 = 0.05;
+/// [`alternating_medians`] samples per side; each side reports its median.
+const SAMPLE_ROUNDS: usize = 101;
 
 /// One measured configuration.
 struct ConfigResult {
@@ -65,6 +66,30 @@ struct ConfigResult {
     balls_built: usize,
     seeded_pairs: usize,
     gm_nodes: usize,
+}
+
+/// Median seconds per run of two sides, for the ratios CI gates. A single run here
+/// takes milliseconds, where scheduler noise alone moves a one-run ratio by ±10 %. So
+/// each sample is the mean over back-to-back runs with at least [`SAMPLE_SECS`] of
+/// timed work, and the side that runs first alternates per round, so neither drift nor
+/// cache warmth favours one side. `run(side)` performs one run of side 0 or 1 and
+/// returns its timed seconds; untimed set-up may happen inside it.
+fn alternating_medians(mut run: impl FnMut(usize) -> f64) -> [f64; 2] {
+    let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    for round in 0..SAMPLE_ROUNDS {
+        for side in [round % 2, 1 - round % 2] {
+            let (mut timed, mut runs) = (0.0, 0usize);
+            while runs == 0 || timed < SAMPLE_SECS {
+                timed += run(side);
+                runs += 1;
+            }
+            times[side].push(timed / runs as f64);
+        }
+    }
+    times.map(|mut t| {
+        t.sort_by(f64::total_cmp);
+        t[t.len() / 2]
+    })
 }
 
 /// Times each configuration over `runs` interleaved rounds (after one warm-up each) and
@@ -620,10 +645,10 @@ fn main() {
             data.node_count(),
             match_secs * 1e3
         );
-        // Fault-tolerance pricing: the supervised distributed runtime (recovery
-        // configured, nothing scripted) against the fast fan-out (recovery disabled)
-        // on the same row. Supervision must be close to free when no faults fire;
-        // bench-smoke gates `overhead` at 1.05.
+        // Fault-tolerance pricing: the distributed runtime with a recovery policy and
+        // nothing scripted against the same runtime without one, on the same row.
+        // Supervision must be close to free when no faults fire; bench-smoke gates
+        // `overhead` at 1.05.
         let fast_dist = DistributedConfig {
             sites: 4,
             minimize_query: false,
@@ -641,33 +666,19 @@ fn main() {
             fast_out.subgraphs, supervised_out.subgraphs,
             "idle supervision changed the distributed output"
         );
-        // One distributed run here takes 1–5 ms, where scheduler noise alone moves a
-        // single-run ratio by ±10 %. So each sample is the mean of back-to-back runs
-        // lasting at least FAULT_SAMPLE_SECS, and the side that runs first alternates
-        // per round, so neither drift nor cache warmth favours one side.
+        // One distributed run here takes 1–5 ms: sampled by `alternating_medians`.
         let sides = [&fast_dist, &supervised_dist];
-        let mut times: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        for round in 0..FAULT_ROUNDS {
-            for side in [round % 2, 1 - round % 2] {
-                let t = Instant::now();
-                let mut batch = 0usize;
-                while batch == 0 || t.elapsed().as_secs_f64() < FAULT_SAMPLE_SECS {
-                    let out = distributed_strong_simulation(&pattern, &data, sides[side])
-                        .expect("valid distributed config");
-                    assert_eq!(out.subgraphs.len(), fast_out.subgraphs.len());
-                    batch += 1;
-                }
-                times[side].push(t.elapsed().as_secs_f64() / batch as f64);
-            }
-        }
-        let [mut fast_dist_times, mut supervised_dist_times] = times;
-        fast_dist_times.sort_by(f64::total_cmp);
-        supervised_dist_times.sort_by(f64::total_cmp);
-        let fast_dist_secs = fast_dist_times[fast_dist_times.len() / 2];
-        let supervised_dist_secs = supervised_dist_times[supervised_dist_times.len() / 2];
+        let [fast_dist_secs, supervised_dist_secs] = alternating_medians(|side| {
+            let t = Instant::now();
+            let out = distributed_strong_simulation(&pattern, &data, sides[side])
+                .expect("valid distributed config");
+            let secs = t.elapsed().as_secs_f64();
+            assert_eq!(out.subgraphs.len(), fast_out.subgraphs.len());
+            secs
+        });
         let fault_overhead = supervised_dist_secs / fast_dist_secs;
         eprintln!(
-            "{name} fault tolerance: fast fan-out {:.3} ms, idle supervision {:.3} ms ({fault_overhead:.3}x)",
+            "{name} fault tolerance: no recovery policy {:.3} ms, idle supervision {:.3} ms ({fault_overhead:.3}x)",
             fast_dist_secs * 1e3,
             supervised_dist_secs * 1e3
         );
@@ -1087,7 +1098,9 @@ fn main() {
         let stream = delta_stream(&data, churn_edges, updates, 0x5eed_0002);
 
         // Correctness gate + warm-up: the service must track the independent sessions
-        // bit for bit through the whole stream before anything is timed.
+        // bit for bit through the whole stream before anything is timed. The sharing
+        // counters of the stream's last apply are pure functions of the workload.
+        let mut last_sharing = None;
         {
             let mut service = QueryService::new(data.clone());
             let ids: Vec<_> = patterns
@@ -1099,7 +1112,7 @@ fn main() {
                 .map(|q| IncrementalMatcher::new(q, data.clone(), config))
                 .collect();
             for delta in &stream {
-                service.apply(delta).expect("stream validates");
+                last_sharing = Some(service.apply(delta).expect("stream validates").sharing);
                 for (id, session) in ids.iter().zip(sessions.iter_mut()) {
                     session.apply(delta).expect("stream validates");
                     // `chunks_stolen` is the one scheduling-dependent counter.
@@ -1117,46 +1130,40 @@ fn main() {
             }
         }
 
-        // Construction is untimed on both sides — standing queries register once and
-        // live for many updates; the applies are the serving cost.
-        let stream_runs = 5usize;
-        let mut shared_times = Vec::with_capacity(stream_runs);
-        let mut independent_times = Vec::with_capacity(stream_runs);
-        let mut sweep_radii = 0usize;
-        let mut sweep_consumers = 0usize;
-        let mut substrate_builds = 0usize;
-        let mut substrate_reuses = 0usize;
-        for _ in 0..stream_runs {
-            let mut service = QueryService::new(data.clone());
-            for q in &patterns {
-                service.register(q, config);
-            }
-            let start = Instant::now();
-            for delta in &stream {
-                let update = service.apply(delta).expect("stream validates");
-                sweep_radii = update.sharing.edge_sweep_radii;
-                sweep_consumers = update.sharing.edge_sweep_consumers;
-                substrate_builds = update.sharing.substrate_builds;
-                substrate_reuses = update.sharing.substrate_reuses;
-            }
-            shared_times.push(start.elapsed().as_secs_f64());
+        let sharing = last_sharing.expect("the stream is not empty");
+        let (sweep_radii, sweep_consumers) =
+            (sharing.edge_sweep_radii, sharing.edge_sweep_consumers);
+        let (substrate_builds, substrate_reuses) =
+            (sharing.substrate_builds, sharing.substrate_reuses);
 
-            let mut sessions: Vec<IncrementalMatcher> = patterns
-                .iter()
-                .map(|q| IncrementalMatcher::new(q, data.clone(), config))
-                .collect();
-            let start = Instant::now();
-            for delta in &stream {
-                for session in sessions.iter_mut() {
-                    session.apply(delta).expect("stream validates");
+        // Construction is untimed on both sides — standing queries register once and
+        // live for many updates; the applies are the serving cost. One stream takes
+        // 12–18 ms, so the two sides are sampled by `alternating_medians`.
+        let [shared_secs, independent_secs] = alternating_medians(|side| {
+            if side == 0 {
+                let mut service = QueryService::new(data.clone());
+                for q in &patterns {
+                    service.register(q, config);
                 }
+                let start = Instant::now();
+                for delta in &stream {
+                    service.apply(delta).expect("stream validates");
+                }
+                start.elapsed().as_secs_f64()
+            } else {
+                let mut sessions: Vec<IncrementalMatcher> = patterns
+                    .iter()
+                    .map(|q| IncrementalMatcher::new(q, data.clone(), config))
+                    .collect();
+                let start = Instant::now();
+                for delta in &stream {
+                    for session in sessions.iter_mut() {
+                        session.apply(delta).expect("stream validates");
+                    }
+                }
+                start.elapsed().as_secs_f64()
             }
-            independent_times.push(start.elapsed().as_secs_f64());
-        }
-        shared_times.sort_by(f64::total_cmp);
-        independent_times.sort_by(f64::total_cmp);
-        let shared_secs = shared_times[shared_times.len() / 2];
-        let independent_secs = independent_times[independent_times.len() / 2];
+        });
         let ratio = independent_secs / shared_secs;
         let pattern_updates_per_sec = (patterns.len() * updates) as f64 / shared_secs;
         eprintln!(

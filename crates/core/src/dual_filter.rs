@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 /// This walks the view's raw adjacency and tests every neighbour against the relation.
 /// It is the reference for the engine's balls inside `Gm`, which run the same cascade
 /// over the query's candidate lists ([`crate::gm::match_gm_ball`]); the engine itself
-/// calls it only off `Gm` (the full-graph substrate and the legacy path).
+/// calls it only off `Gm` (the full-graph substrate).
 pub fn refine_projected<V: AdjView>(
     pattern: &Pattern,
     view: &V,

@@ -69,7 +69,7 @@ pub mod simulation;
 pub mod strong;
 pub mod topology;
 
-pub use ball::{locality_center_order, BallSubstrate};
+pub use ball::BallSubstrate;
 pub use dual::{dual_simulates, dual_simulation, dual_simulation_with};
 pub use gm::GmSubstrate;
 pub use incremental::{IncrementalMatcher, PreparedGlobal, UpdatePlan, UpdateStats};
@@ -84,4 +84,4 @@ pub use service::{
     BuilderError, PatternBuilder, QueryId, QueryService, QueryUpdate, ServiceUpdate, SharingStats,
 };
 pub use simulation::{graph_simulation, graph_simulation_with, simulates, RefineStrategy};
-pub use strong::{strong_simulation, MatchConfig, MatchOutput, MatchStats};
+pub use strong::{strong_simulation, DataRef, MatchConfig, MatchOutput, MatchPlan, MatchStats};

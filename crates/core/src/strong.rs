@@ -13,14 +13,13 @@
 //!
 //! # Engine
 //!
-//! Independent of the paper-level optimisations, the engine has four performance layers,
-//! each with a seed-compatible fallback kept for ablation and as an equivalence oracle:
+//! Independent of the paper-level optimisations, every ball is remapped to dense ids
+//! `0..|ball|` ([`CompactBall`]) so relations, counters and adjacency are ball-sized
+//! instead of `|V|`-sized, and the engine has three performance layers, each with a
+//! fallback kept as an equivalence oracle:
 //!
 //! * **worklist refinement** ([`RefineStrategy::Worklist`]) — counter-based incremental
 //!   removal propagation instead of the naive `while changed` re-scan,
-//! * **ball-local compact indexing** (`compact_balls`) — each ball is remapped to dense ids
-//!   `0..|ball|` ([`CompactBall`]) so relations, counters and adjacency are ball-sized
-//!   instead of `|V|`-sized,
 //! * **parallel ball processing** (`parallel`) — the centers, in ascending id order, are
 //!   cut into contiguous chunks ([`crate::parallel::chunk_plan`], a function of the
 //!   center count alone) and fanned out over scoped worker threads through a
@@ -37,6 +36,10 @@
 //!   Connectivity pruning is the identity on `Gm` balls and is skipped; their refinement
 //!   and extraction read the query's candidate adjacency ([`crate::gm::GmSubstrate`])
 //!   instead of the raw `Gm` CSR.
+//!
+//! A run is split in two halves that the distributed runtime shares: the per-query
+//! [`MatchPlan`] (minimisation, global fixpoint, `Gm`, center filters) and its per-ball
+//! evaluator [`MatchPlan::evaluate`].
 
 use crate::ball::BallSubstrate;
 use crate::dual::{dual_simulation_with, refine_dual_with};
@@ -54,9 +57,8 @@ use crate::repetition::{
     enforce_repetition, RepetitionMode, RepetitionOutcome, RepetitionSemantics,
 };
 use crate::simulation::{initial_candidates, RefineStrategy};
-use ssim_graph::{
-    Ball, BallScratch, BitSet, CompactBall, ExtractedSubgraph, Graph, NodeId, Pattern,
-};
+use ssim_graph::{BallScratch, BitSet, CompactBall, ExtractedSubgraph, Graph, NodeId, Pattern};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap};
@@ -85,9 +87,6 @@ pub struct MatchConfig {
     /// Explicit worker count for the ball fan-out (benchmarks, scaling tests). `None`
     /// sizes the pool automatically and runs small inputs inline.
     pub thread_limit: Option<usize>,
-    /// Remap each ball to dense local ids and match over ball-sized bitsets. Disabling
-    /// falls back to the seed's `|V|`-sized relations over membership-filtered views.
-    pub compact_balls: bool,
     /// Which graph the ball pipeline traverses when `dual_filter` is on: the extracted
     /// match graph `Gm` (the default — Fig. 5's ball substrate) or the full data graph
     /// (the pre-extraction behaviour, kept as the equivalence oracle). Ignored without
@@ -123,7 +122,6 @@ impl Default for MatchConfig {
             refine_strategy: RefineStrategy::Worklist,
             parallel: true,
             thread_limit: None,
-            compact_balls: true,
             ball_substrate: BallSubstrate::MatchGraph,
             update_plan: UpdatePlan::Incremental,
             repetition: RepetitionSemantics::Free,
@@ -148,13 +146,13 @@ impl MatchConfig {
         }
     }
 
-    /// The seed's engine: naive fixpoint refinement, sequential, `|V|`-sized ball
-    /// relations. Used by benches as the speedup baseline and by tests as an oracle.
+    /// The seed's engine shape: naive fixpoint refinement, sequential, full-graph balls,
+    /// recompute on update. Used by benches as the speedup baseline and by tests as an
+    /// oracle.
     pub fn seed_reference() -> Self {
         MatchConfig {
             refine_strategy: RefineStrategy::NaiveFixpoint,
             parallel: false,
-            compact_balls: false,
             ball_substrate: BallSubstrate::FullGraph,
             update_plan: UpdatePlan::Recompute,
             ..Self::default()
@@ -359,19 +357,23 @@ pub(crate) fn distinct_indices(subgraphs: &[PerfectSubgraph]) -> Vec<usize> {
     keep
 }
 
-/// The data argument of the matcher: the flat graph itself, or — on maintained
+/// The data argument of a [`MatchPlan`]: the flat graph itself, or — on maintained
 /// (`prepared`) paths whose entire ball pipeline runs inside the cached `Gm` extraction —
-/// just its node count. The count-only shape is what lets the incremental driver keep its
-/// serving state as an [`ssim_graph::OverlayGraph`] without materialising a flat CSR per
-/// update: stats accounting needs `|V|`, not adjacency.
-enum DataRef<'a> {
+/// just its node count. The count-only shape is what lets the incremental sessions keep
+/// their serving state as an [`ssim_graph::OverlayGraph`] without materialising a flat
+/// CSR per update: stats accounting needs `|V|`, not adjacency.
+#[derive(Clone, Copy)]
+pub enum DataRef<'a> {
+    /// The flat data graph.
     Flat(&'a Graph),
+    /// Only the data node count.
     CountOnly(usize),
 }
 
-impl DataRef<'_> {
+impl<'a> DataRef<'a> {
+    /// Number of data nodes.
     #[inline]
-    fn node_count(&self) -> usize {
+    pub fn node_count(&self) -> usize {
         match self {
             DataRef::Flat(g) => g.node_count(),
             DataRef::CountOnly(n) => *n,
@@ -379,17 +381,247 @@ impl DataRef<'_> {
     }
 
     /// The flat graph, on paths that traverse raw data adjacency.
-    ///
-    /// # Panics
-    /// Panics on a count-only reference — the caller picked the counted entry point for a
-    /// configuration whose pipeline does not stay inside the prepared `Gm`.
-    #[inline]
-    fn flat(&self) -> &Graph {
-        match self {
-            DataRef::Flat(g) => g,
-            DataRef::CountOnly(_) => panic!(
+    fn flat(&self) -> Result<&'a Graph, PlanError> {
+        match *self {
+            DataRef::Flat(g) => Ok(g),
+            DataRef::CountOnly(_) => Err(PlanError::FlatGraphRequired),
+        }
+    }
+}
+
+/// Why a [`MatchPlan`] cannot be built over a [`DataRef::CountOnly`] data argument.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanError {
+    /// The configuration traverses raw data adjacency: `dual_filter` off, or a total
+    /// relation on the [`BallSubstrate::FullGraph`] oracle substrate.
+    FlatGraphRequired,
+    /// The match-graph substrate needs `Gm`, the prepared state carries none, and there
+    /// is no flat graph to extract it from.
+    PreparedStateMissingGm,
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            PlanError::FlatGraphRequired => {
                 "this matcher configuration traverses the flat data graph; \
                  the counted entry point only serves prepared match-graph-substrate runs"
+            }
+            PlanError::PreparedStateMissingGm => {
+                "the match-graph substrate needs the prepared Gm extraction"
+            }
+        })
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+/// What [`MatchPlan::evaluate`] reports for one ball: the perfect subgraph, if any, the
+/// pairs the per-ball dual filter removed, the size of the start relation and the
+/// repetition-closure outcome.
+pub type BallResult = (Option<PerfectSubgraph>, usize, usize, RepetitionOutcome);
+
+/// The per-query preamble of strong simulation, shared by [`strong_simulation`] and the
+/// distributed runtime: the effective (optionally minimised) pattern, the ball radius,
+/// the global dual-simulation relation, the optional `Gm` substrate and the ball centers
+/// that survive the skip and dirty filters.
+///
+/// [`MatchPlan::evaluate`] is the per-ball half. Every ball is built by
+/// [`CompactBall::build`] over [`MatchPlan::graph`] at [`MatchPlan::radius`] around one
+/// of [`MatchPlan::centers`], and its rows depend on its center alone, so any split of
+/// the centers — across worker threads or across sites — yields the same rows.
+pub struct MatchPlan<'a> {
+    pattern: Cow<'a, Pattern>,
+    /// Original pattern nodes per minimised class; empty without `minimize_query`.
+    class_members: Vec<Vec<NodeId>>,
+    config: MatchConfig,
+    data: DataRef<'a>,
+    /// The global relation, kept only on the full-graph path (`Gm` carries its own).
+    global: Option<Cow<'a, MatchRelation>>,
+    gm: Option<Cow<'a, GmSubstrate>>,
+    centers: Vec<NodeId>,
+    stats: MatchStats,
+}
+
+impl<'a> MatchPlan<'a> {
+    /// Runs the preamble. `prepared` and `dirty` are the hooks described on
+    /// [`match_with_prepared`]. Fails only on a [`DataRef::CountOnly`] argument whose
+    /// configuration needs the flat graph after all.
+    pub fn new(
+        pattern: &'a Pattern,
+        data: DataRef<'a>,
+        config: &MatchConfig,
+        prepared: Option<PreparedGlobal<'a>>,
+        dirty: Option<&BitSet>,
+    ) -> Result<Self, PlanError> {
+        let n = data.node_count();
+        let mut stats = MatchStats {
+            balls_considered: n,
+            ..MatchStats::default()
+        };
+        // Optimisation 1: query minimization. The ball radius stays the *original*
+        // diameter (Lemma 3); `match_impl` translates rows back to the original pattern.
+        let mut class_members = Vec::new();
+        let (pattern, radius) = if config.minimize_query {
+            let minimized = minimize_pattern(pattern);
+            stats.pattern_sizes = Some((minimized.original_size, minimized.pattern.size()));
+            class_members = vec![Vec::new(); minimized.pattern.node_count()];
+            for (original_index, class) in minimized.class_of.iter().enumerate() {
+                class_members[class.index()].push(NodeId::from_index(original_index));
+            }
+            let radius = config
+                .radius_override
+                .unwrap_or(minimized.original_diameter);
+            (Cow::Owned(minimized.pattern), radius)
+        } else {
+            let radius = config.radius_override.unwrap_or(pattern.diameter());
+            (Cow::Borrowed(pattern), radius)
+        };
+        stats.radius = radius;
+        let mut plan = MatchPlan {
+            pattern,
+            class_members,
+            config: *config,
+            data,
+            global: None,
+            gm: None,
+            centers: Vec::new(),
+            stats,
+        };
+
+        if config.dual_filter {
+            // Optimisation 2 (part 1): the global dual-simulation relation — computed
+            // once here, or handed in already maintained by an incremental session.
+            let global = match prepared {
+                Some(p) => {
+                    debug_assert_eq!(
+                        p.relation.pattern_node_count(),
+                        plan.pattern.node_count(),
+                        "prepared relation must be over the effective (minimised) pattern"
+                    );
+                    p.relation.is_total().then_some(Cow::Borrowed(p.relation))
+                }
+                None => dual_simulation_with(&plan.pattern, data.flat()?, config.refine_strategy)
+                    .map(Cow::Owned),
+            };
+            let Some(global) = global else {
+                // The whole graph does not even dual-simulate the pattern: no ball can.
+                plan.stats.balls_skipped = n;
+                return Ok(plan);
+            };
+            // Ball substrate: only matched nodes can ever be candidates, support an
+            // in-ball pair or appear in an extracted subgraph, so the default substrate
+            // materialises the match graph `Gm` once and runs the entire ball pipeline
+            // inside it (Fig. 5). Its nodes are exactly the centers the filter keeps.
+            if config.ball_substrate == BallSubstrate::MatchGraph {
+                let gm = match prepared.and_then(|p| p.gm) {
+                    Some(gm) => Cow::Borrowed(gm),
+                    None => {
+                        let flat = data.flat().map_err(|_| PlanError::PreparedStateMissingGm)?;
+                        let (sub, inner) =
+                            global.extract_matched_subgraph(flat, &mut BitSet::new(0));
+                        Cow::Owned(GmSubstrate::new(&plan.pattern, sub, inner))
+                    }
+                };
+                plan.stats.gm_nodes = gm.subgraph().node_count();
+                plan.stats.gm_edges = gm.subgraph().edge_count();
+                plan.centers = gm.graph().nodes().collect();
+                plan.gm = Some(gm);
+            } else {
+                let mut matched = BitSet::new(0);
+                global.matched_data_nodes_into(&mut matched);
+                plan.centers = data
+                    .flat()?
+                    .nodes()
+                    .filter(|c| matched.contains(c.index()))
+                    .collect();
+                plan.global = Some(global);
+            }
+        } else {
+            plan.centers = data.flat()?.nodes().collect();
+        }
+        // Balls whose center cannot match any pattern node are skipped outright.
+        plan.stats.balls_skipped = n - plan.centers.len();
+        // Incremental updates restrict the run to the centers a delta marked dirty;
+        // every ball's rows depend on its center alone, so the surviving rows are
+        // bit-identical to the same centers' rows in an unrestricted pass.
+        if let Some(dirty) = dirty {
+            let gm = plan.gm.as_deref();
+            plan.centers.retain(|&c| {
+                let outer = gm.map_or(c, |gm| gm.subgraph().outer_of(c));
+                dirty.contains(outer.index())
+            });
+        }
+        plan.stats.balls_processed = plan.centers.len();
+        Ok(plan)
+    }
+
+    /// The effective pattern: minimised when the configuration minimises queries.
+    pub fn pattern(&self) -> &Pattern {
+        &self.pattern
+    }
+
+    /// Ball radius: the original pattern's diameter unless overridden (Lemma 3).
+    pub fn radius(&self) -> usize {
+        self.stats.radius
+    }
+
+    /// Ball centers in [`MatchPlan::graph`] ids, ascending.
+    pub fn centers(&self) -> &[NodeId] {
+        &self.centers
+    }
+
+    /// The preamble's counters (pattern sizes, radius, considered/skipped/processed
+    /// balls, `Gm` size); the per-ball counters are zero.
+    pub fn stats(&self) -> &MatchStats {
+        &self.stats
+    }
+
+    /// The graph balls are built in: `Gm` on the match-graph substrate, the data graph
+    /// otherwise.
+    ///
+    /// # Panics
+    /// Panics on a count-only plan outside `Gm`, which has no centers.
+    pub fn graph(&self) -> &Graph {
+        match (&self.gm, self.data) {
+            (Some(gm), _) => gm.graph(),
+            (None, DataRef::Flat(g)) => g,
+            (None, DataRef::CountOnly(_)) => panic!("a count-only plan outside Gm has no balls"),
+        }
+    }
+
+    /// Translates a [`MatchPlan::graph`] id to the caller's data-graph id.
+    #[inline]
+    pub fn outer_of(&self, v: NodeId) -> NodeId {
+        self.gm.as_ref().map_or(v, |gm| gm.subgraph().outer_of(v))
+    }
+
+    /// The ball evaluator: matches one ball built by [`CompactBall::build`] over
+    /// [`MatchPlan::graph`] at [`MatchPlan::radius`]. The perfect subgraph, if any, is
+    /// in the caller's data-graph ids with its relation over [`MatchPlan::pattern`].
+    /// Balls built inside `Gm` refine and extract over its candidate adjacency
+    /// ([`match_gm_ball`]).
+    pub fn evaluate(&self, ball: &CompactBall) -> BallResult {
+        let config = &self.config;
+        match &self.gm {
+            Some(gm) => {
+                let (subgraph, removed, seeded, repetition) = match_gm_ball(
+                    &self.pattern,
+                    ball,
+                    gm,
+                    config.repetition,
+                    config.repetition_mode,
+                );
+                // Cross the id-translation boundary: everything above spoke `Gm` ids.
+                let subgraph = subgraph.map(|s| translate_to_outer(s, gm.subgraph()));
+                (subgraph, removed, seeded, repetition)
+            }
+            None => match_data_ball(
+                &self.pattern,
+                self.graph(),
+                ball,
+                self.global.as_deref(),
+                config,
             ),
         }
     }
@@ -484,133 +716,10 @@ fn match_impl(
     prepared: Option<PreparedGlobal<'_>>,
     dirty: Option<&BitSet>,
 ) -> MatchOutput {
-    let mut stats = MatchStats::default();
-
-    // Optimisation 1: query minimization. The ball radius stays the *original* diameter
-    // (Lemma 3). Results are translated back to the original pattern nodes at the end so the
-    // output is expressed against the caller's pattern regardless of the configuration.
-    let minimized;
-    let mut class_members: Vec<Vec<NodeId>> = Vec::new();
-    let (effective_pattern, radius) = if config.minimize_query {
-        minimized = minimize_pattern(pattern);
-        stats.pattern_sizes = Some((minimized.original_size, minimized.pattern.size()));
-        class_members = vec![Vec::new(); minimized.pattern.node_count()];
-        for (original_index, class) in minimized.class_of.iter().enumerate() {
-            class_members[class.index()].push(NodeId::from_index(original_index));
-        }
-        let radius = config
-            .radius_override
-            .unwrap_or(minimized.original_diameter);
-        (&minimized.pattern, radius)
-    } else {
-        (
-            pattern,
-            config.radius_override.unwrap_or(pattern.diameter()),
-        )
-    };
-    stats.radius = radius;
-
-    // Optimisation 2 (part 1): the global dual-simulation relation — computed once here,
-    // or handed in already maintained by the incremental driver.
-    let computed_global: Option<MatchRelation> = match (config.dual_filter, prepared) {
-        (true, None) => {
-            match dual_simulation_with(effective_pattern, data.flat(), config.refine_strategy) {
-                Some(rel) => Some(rel),
-                None => {
-                    // The whole graph does not even dual-simulate the pattern: no ball can.
-                    stats.balls_considered = data.node_count();
-                    stats.balls_skipped = data.node_count();
-                    return MatchOutput {
-                        subgraphs: Vec::new(),
-                        stats,
-                    };
-                }
-            }
-        }
-        _ => None,
-    };
-    let global_relation: Option<&MatchRelation> = if config.dual_filter {
-        match prepared {
-            Some(p) => {
-                debug_assert_eq!(
-                    p.relation.pattern_node_count(),
-                    effective_pattern.node_count(),
-                    "prepared relation must be over the effective (minimised) pattern"
-                );
-                if !p.relation.is_total() {
-                    // The maintained fixpoint is empty: no ball can match.
-                    stats.balls_considered = data.node_count();
-                    stats.balls_skipped = data.node_count();
-                    return MatchOutput {
-                        subgraphs: Vec::new(),
-                        stats,
-                    };
-                }
-                Some(p.relation)
-            }
-            None => computed_global.as_ref(),
-        }
-    } else {
-        None
-    };
-    // Ball substrate: with the dual filter on, only matched nodes can ever be candidates,
-    // support an in-ball pair or appear in an extracted subgraph, so the default substrate
-    // materialises the match graph `Gm` once and runs the entire ball pipeline inside it
-    // (Fig. 5). One matched-set buffer serves both the extraction and the center filter.
-    // A prepared state without its `Gm` (the fields are public) gets it extracted here
-    // from the prepared fixpoint, like a one-shot run.
-    stats.balls_considered = data.node_count();
-    let mut matched_buf = BitSet::new(0);
-    let on_gm = global_relation.is_some() && config.ball_substrate == BallSubstrate::MatchGraph;
-    let prepared_gm = prepared.and_then(|p| p.gm).filter(|_| on_gm);
-    let extracted: Option<GmSubstrate> = match global_relation {
-        Some(global) if on_gm && prepared_gm.is_none() => {
-            let (sub, inner) = global.extract_matched_subgraph(data.flat(), &mut matched_buf);
-            Some(GmSubstrate::new(effective_pattern, sub, inner))
-        }
-        _ => None,
-    };
-    let gm: Option<&GmSubstrate> = prepared_gm.or(extracted.as_ref());
-    if let Some(gm) = gm {
-        stats.gm_nodes = gm.subgraph().node_count();
-        stats.gm_edges = gm.subgraph().edge_count();
-    }
-    // Everything below speaks `match_data` ids: `Gm` ids on the match-graph substrate,
-    // data-graph ids otherwise. Results are translated back at emission.
-    let (match_data, local_relation): (&Graph, Option<&MatchRelation>) = match gm {
-        Some(gm) => (gm.graph(), Some(gm.relation())),
-        None => (data.flat(), global_relation),
-    };
-
-    // Balls whose center cannot match any pattern node are skipped outright; on the
-    // match-graph substrate the extraction already performed exactly that filter, so the
-    // skipped/considered accounting is identical on both substrates.
-    let centers: Vec<NodeId> = match (gm, global_relation) {
-        (Some(gm), _) => gm.graph().nodes().collect(),
-        (None, Some(global)) => {
-            global.matched_data_nodes_into(&mut matched_buf);
-            data.flat()
-                .nodes()
-                .filter(|c| matched_buf.contains(c.index()))
-                .collect()
-        }
-        (None, None) => data.flat().nodes().collect(),
-    };
-    stats.balls_skipped = data.node_count() - centers.len();
-    // Incremental updates restrict the run to the centers a delta marked dirty;
-    // everything below is center-set agnostic, so the surviving rows are bit-identical
-    // to the same centers' rows in an unrestricted pass.
-    let centers: Vec<NodeId> = match dirty {
-        Some(dirty) => centers
-            .into_iter()
-            .filter(|&c| {
-                let outer = gm.map_or(c, |gm| gm.subgraph().outer_of(c));
-                dirty.contains(outer.index())
-            })
-            .collect(),
-        None => centers,
-    };
-    stats.balls_processed = centers.len();
+    let plan =
+        MatchPlan::new(pattern, data, config, prepared, dirty).unwrap_or_else(|e| panic!("{e}"));
+    let mut stats = plan.stats.clone();
+    let centers = &plan.centers;
 
     // Fan the per-ball work out over worker threads. The centers are cut into contiguous
     // chunks whose boundaries depend only on the center count, each worker is dealt a
@@ -627,9 +736,9 @@ fn match_impl(
         (true, None) if centers.len() >= PARALLEL_CUTOFF => available_threads(),
         (true, None) => 1,
     };
-    let plan = chunk_plan(centers.len());
-    let workers = effective_workers(threads, plan.len());
-    let scheduler = StealScheduler::new(workers, plan);
+    let chunks = chunk_plan(centers.len());
+    let workers = effective_workers(threads, chunks.len());
+    let scheduler = StealScheduler::new(workers, chunks);
     let worker = |t: usize| -> WorkerResult {
         let mut result = WorkerResult::default();
         let mut scratch = BallScratch::new();
@@ -642,28 +751,10 @@ fn match_impl(
                 for &center in &centers[chunk] {
                     current.set(Some(center));
                     result.balls_built += 1;
-                    let (subgraph, removed, seeded, repetition) = if config.compact_balls {
-                        let ball = CompactBall::build(match_data, center, radius, &mut scratch);
-                        let out = match_prepared_ball(
-                            effective_pattern,
-                            match_data,
-                            &ball,
-                            config,
-                            local_relation,
-                            gm,
-                        );
-                        ball.recycle(&mut scratch);
-                        out
-                    } else {
-                        match_ball_legacy(
-                            effective_pattern,
-                            match_data,
-                            center,
-                            radius,
-                            config,
-                            local_relation,
-                        )
-                    };
+                    let ball =
+                        CompactBall::build(plan.graph(), center, plan.radius(), &mut scratch);
+                    let (subgraph, removed, seeded, repetition) = plan.evaluate(&ball);
+                    ball.recycle(&mut scratch);
                     result.seeded_pairs += seeded;
                     result.record_repetition(repetition);
                     if removed > 0 {
@@ -671,17 +762,12 @@ fn match_impl(
                         result.filter_removed_pairs += removed;
                     }
                     if let Some(mut subgraph) = subgraph {
-                        // Cross the id-translation boundary: everything above spoke substrate
-                        // ids; emitted subgraphs speak the caller's data-graph ids.
-                        if let Some(gm) = gm {
-                            subgraph = translate_to_outer(subgraph, gm.subgraph());
-                        }
                         // Express the relation in terms of the caller's pattern nodes when the
                         // matcher ran on the minimised pattern.
                         if config.minimize_query {
                             let mut expanded = Vec::with_capacity(subgraph.relation.len());
                             for (class_node, data_node) in &subgraph.relation {
-                                for &original in &class_members[class_node.index()] {
+                                for &original in &plan.class_members[class_node.index()] {
                                     expanded.push((original, *data_node));
                                 }
                             }
@@ -743,21 +829,17 @@ fn match_impl(
     MatchOutput { subgraphs, stats }
 }
 
-/// Matches one compact ball built by [`CompactBall::build`]. Returns the translated
-/// perfect subgraph, if any, the pairs the dual filter removed, the size of the start
-/// relation and the repetition outcome. Balls built inside `Gm` refine and extract over
-/// its candidate adjacency ([`match_gm_ball`]).
-fn match_prepared_ball(
+/// Matches one compact ball built in the data graph `data` (the evaluator's path outside
+/// `Gm`): the start relation is the projection of `global_relation` when given (the
+/// dual filter, refined border-seeded) and fresh label candidates otherwise (refined to
+/// the full fixpoint), optionally pruned by connectivity around the center.
+fn match_data_ball(
     pattern: &Pattern,
     data: &Graph,
     ball: &CompactBall,
-    config: &MatchConfig,
     global_relation: Option<&MatchRelation>,
-    gm: Option<&GmSubstrate>,
-) -> (Option<PerfectSubgraph>, usize, usize, RepetitionOutcome) {
-    if let Some(gm) = gm {
-        return match_gm_ball(pattern, ball, gm, config.repetition, config.repetition_mode);
-    }
+    config: &MatchConfig,
+) -> BallResult {
     let view = ball.view(data);
 
     // Starting relation (ball-local ids): either the projected global relation or fresh
@@ -780,12 +862,11 @@ fn match_prepared_ball(
     let seeded = start.pair_count();
 
     // Refinement: border-seeded work queue when starting from the projected global
-    // relation, full (worklist) fixpoint otherwise.
+    // relation, full fixpoint otherwise.
     let mut removed = 0usize;
-    let relation = if config.dual_filter {
-        refine_projected(pattern, &view, ball.border(), start, Some(&mut removed))
-    } else {
-        refine_dual_with(pattern, &view, start, config.refine_strategy)
+    let relation = match global_relation {
+        Some(_) => refine_projected(pattern, &view, ball.border(), start, Some(&mut removed)),
+        None => refine_dual_with(pattern, &view, start, config.refine_strategy),
     };
     // The repetition closure runs between refinement convergence and extraction; a
     // closure that empties some candidate set turns the ball into a non-match exactly
@@ -862,108 +943,14 @@ pub fn translate_to_outer(local: PerfectSubgraph, sub: &ExtractedSubgraph) -> Pe
     }
 }
 
-/// Matches one ball the seed way: `|V|`-sized relation bitsets over a membership-filtered
-/// view of the original graph. Kept for ablation benches and as the engine oracle.
-fn match_ball_legacy(
-    pattern: &Pattern,
-    data: &Graph,
-    center: NodeId,
-    radius: usize,
-    config: &MatchConfig,
-    global_relation: Option<&MatchRelation>,
-) -> (Option<PerfectSubgraph>, usize, usize, RepetitionOutcome) {
-    let ball = Ball::new(data, center, radius);
-    let view = ball.view(data);
-    let start = match global_relation {
-        Some(global) => global.project(ball.membership()),
-        None => initial_candidates(pattern, &view),
-    };
-    let start = if config.connectivity_pruning {
-        match prune_by_connectivity(pattern, &view, center, &start) {
-            Some(pruned) => pruned,
-            None => return (None, 0, 0, RepetitionOutcome::default()),
-        }
-    } else {
-        start
-    };
-    let seeded = start.pair_count();
-    let mut removed = 0usize;
-    let relation = if config.dual_filter {
-        refine_projected(
-            pattern,
-            &view,
-            &ball.border_nodes(),
-            start,
-            Some(&mut removed),
-        )
-    } else {
-        refine_dual_with(pattern, &view, start, config.refine_strategy)
-    };
-    let Some(mut relation) = relation else {
-        return (None, removed, seeded, RepetitionOutcome::default());
-    };
-    // Same position as on the compact path: closure after convergence, before
-    // extraction. The witness filter works on id *sets*, so the `|V|`-sized relation
-    // over the membership-filtered view removes the same pairs the compact path does.
-    let repetition = enforce_repetition(
-        pattern,
-        &view,
-        &mut relation,
-        config.repetition,
-        config.repetition_mode,
-    );
-    if !relation.is_total() {
-        return (None, removed, seeded, repetition);
-    }
-    (
-        extract_max_perfect_subgraph(pattern, &view, &relation, center, radius),
-        removed,
-        seeded,
-        repetition,
-    )
-}
-
 /// Matches a single prebuilt compact ball with fresh label candidates and worklist
-/// refinement — the unit of work the distributed runtime's sites execute.
+/// refinement — the plain `Match` unit of work, outside any [`MatchPlan`].
 pub fn match_compact_ball(
     pattern: &Pattern,
     ball: &CompactBall,
     data: &Graph,
 ) -> Option<PerfectSubgraph> {
-    match_compact_ball_with(
-        pattern,
-        ball,
-        data,
-        RepetitionSemantics::Free,
-        RepetitionMode::Integrated,
-    )
-    .0
-}
-
-/// [`match_compact_ball`] with an explicit repetition semantics — the distributed
-/// runtime's per-site emission path. Returns the closure outcome alongside the subgraph
-/// so callers can account bails and removals.
-pub fn match_compact_ball_with(
-    pattern: &Pattern,
-    ball: &CompactBall,
-    data: &Graph,
-    repetition: RepetitionSemantics,
-    repetition_mode: RepetitionMode,
-) -> (Option<PerfectSubgraph>, RepetitionOutcome) {
-    let view = ball.view(data);
-    let start = initial_candidates(pattern, &view);
-    let Some(mut relation) = refine_dual_with(pattern, &view, start, RefineStrategy::Worklist)
-    else {
-        return (None, RepetitionOutcome::default());
-    };
-    let outcome = enforce_repetition(pattern, &view, &mut relation, repetition, repetition_mode);
-    if !relation.is_total() {
-        return (None, outcome);
-    }
-    let subgraph =
-        extract_max_perfect_subgraph(pattern, &view, &relation, ball.center(), ball.radius())
-            .map(|s| translate_subgraph(s, ball));
-    (subgraph, outcome)
+    match_data_ball(pattern, data, ball, None, &MatchConfig::basic()).0
 }
 
 /// [`match_compact_ball`] under the dual filter: the per-ball start is the projection of
@@ -979,39 +966,14 @@ pub fn match_compact_ball_filtered(
     data: &Graph,
     global_relation: &MatchRelation,
 ) -> Option<PerfectSubgraph> {
-    match_compact_ball_filtered_with(
+    match_data_ball(
         pattern,
-        ball,
         data,
-        global_relation,
-        RepetitionSemantics::Free,
-        RepetitionMode::Integrated,
+        ball,
+        Some(global_relation),
+        &MatchConfig::basic(),
     )
     .0
-}
-
-/// [`match_compact_ball_filtered`] with an explicit repetition semantics.
-pub fn match_compact_ball_filtered_with(
-    pattern: &Pattern,
-    ball: &CompactBall,
-    data: &Graph,
-    global_relation: &MatchRelation,
-    repetition: RepetitionSemantics,
-    repetition_mode: RepetitionMode,
-) -> (Option<PerfectSubgraph>, RepetitionOutcome) {
-    let view = ball.view(data);
-    let start = global_relation.project_compact(ball);
-    let Some(mut relation) = refine_projected(pattern, &view, ball.border(), start, None) else {
-        return (None, RepetitionOutcome::default());
-    };
-    let outcome = enforce_repetition(pattern, &view, &mut relation, repetition, repetition_mode);
-    if !relation.is_total() {
-        return (None, outcome);
-    }
-    let subgraph =
-        extract_max_perfect_subgraph(pattern, &view, &relation, ball.center(), ball.radius())
-            .map(|s| translate_subgraph(s, ball));
-    (subgraph, outcome)
 }
 
 /// Returns `true` when `Q ≺LD G`, i.e. some ball of `G` contains a perfect subgraph.
@@ -1164,15 +1126,7 @@ pub(crate) mod tests {
             MatchConfig::basic().sequential(),
             MatchConfig::basic().with_thread_limit(4),
             MatchConfig::optimized().with_thread_limit(3),
-            MatchConfig {
-                compact_balls: false,
-                ..MatchConfig::basic()
-            },
             MatchConfig::basic().with_refine_strategy(RefineStrategy::NaiveFixpoint),
-            MatchConfig {
-                compact_balls: false,
-                ..MatchConfig::optimized()
-            },
             MatchConfig::optimized().sequential(),
             MatchConfig::optimized().with_ball_substrate(BallSubstrate::FullGraph),
         ] {
@@ -1201,7 +1155,6 @@ pub(crate) mod tests {
                 &MatchConfig {
                     refine_strategy: RefineStrategy::NaiveFixpoint,
                     parallel: false,
-                    compact_balls: false,
                     ..base_config
                 },
             );

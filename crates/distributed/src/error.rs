@@ -5,6 +5,7 @@
 //! entry point now returns [`DistError`] instead, wrapping [`GraphError`] where the
 //! failure originates in the graph layer.
 
+use ssim_core::strong::PlanError;
 use ssim_graph::GraphError;
 use std::fmt;
 
@@ -106,6 +107,15 @@ impl std::error::Error for DistError {
 impl From<GraphError> for DistError {
     fn from(e: GraphError) -> Self {
         DistError::Graph(e)
+    }
+}
+
+impl From<PlanError> for DistError {
+    fn from(e: PlanError) -> Self {
+        match e {
+            PlanError::FlatGraphRequired => DistError::FlatGraphRequired,
+            PlanError::PreparedStateMissingGm => DistError::PreparedStateMissingGm,
+        }
     }
 }
 

@@ -207,10 +207,10 @@ impl FaultPlan {
 
 /// How the coordinator's supervision loop reacts to chunk failures and site loss.
 ///
-/// Present on [`crate::runtime::DistributedConfig::recovery`]: `None` disables
-/// supervision entirely (the zero-overhead fast path, where a worker panic propagates
-/// as before), `Some(policy)` routes the fan-out through the supervision loop — chunk
-/// panics are caught and retried, dead sites' chunks are reassigned, and chunks that
+/// Present on [`crate::runtime::DistributedConfig::recovery`]: `None` runs the
+/// supervision loop for one round without retries, where a worker panic propagates as
+/// before; `Some(policy)` lets the loop contain failures — chunk panics are caught and
+/// retried, dead sites' chunks are reassigned, and chunks that
 /// exhaust the budget degrade to exact coverage loss (or fail the run, per
 /// [`RecoveryPolicy::allow_degraded`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -262,8 +262,8 @@ impl RecoveryPolicy {
 /// Every counter here is a deterministic function of the input, the fault plan and the
 /// policy — rounds are barriers and faults are scripted, so none of these depend on
 /// steal timing (`chunks_stolen` remains the one schedule-dependent counter). A
-/// fault-free supervised run leaves all of them zero, which is how the equivalence
-/// suites compare supervised against fast-path traffic directly.
+/// fault-free run leaves all of them zero, which is how the equivalence suites compare
+/// runs with and without a recovery policy directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Sites that crashed during the run.

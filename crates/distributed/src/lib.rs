@@ -35,8 +35,7 @@ pub use fault::{FaultAction, FaultPlan, RecoveryPolicy, RecoveryStats};
 pub use incremental::IncrementalDistributed;
 pub use partition::{GraphPartition, PartitionStrategy};
 pub use runtime::{
-    distributed_strong_simulation, distributed_with_faults, distributed_with_prepared,
-    distributed_with_prepared_cached, distributed_with_prepared_counted, CoordinatorCache,
-    DistributedConfig, DistributedOutput, TrafficStats,
+    distributed_strong_simulation, distributed_with_faults, DistributedConfig, DistributedOutput,
+    TrafficStats,
 };
 pub use service::{DistServiceUpdate, DistributedQueryService};

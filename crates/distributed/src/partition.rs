@@ -19,10 +19,18 @@ pub enum PartitionStrategy {
 }
 
 /// Assignment of every node to one of `k` fragments (sites).
+///
+/// Both strategies assign sites by node id arithmetic, so the partition is stored as
+/// `(|V|, sites, strategy)` and every lookup is computed: building or cloning one is
+/// O(1) whatever the graph size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphPartition {
-    site_of: Vec<usize>,
+    nodes: usize,
     sites: usize,
+    strategy: PartitionStrategy,
+    /// Nodes per fragment under [`PartitionStrategy::Range`] (the last one takes the
+    /// remainder).
+    range: usize,
 }
 
 impl GraphPartition {
@@ -36,21 +44,18 @@ impl GraphPartition {
 
     /// [`GraphPartition::new`] from the node count alone. Both strategies assign sites
     /// by node id, never by adjacency, so the partition is **delta-invariant**: edge
-    /// updates cannot move a node to another site — which is why the incremental
-    /// coordinator caches one partition across a whole delta stream.
+    /// updates cannot move a node to another site.
     ///
     /// # Panics
     /// Panics when `sites == 0`.
     pub fn from_node_count(n: usize, sites: usize, strategy: PartitionStrategy) -> Self {
         assert!(sites > 0, "a partition needs at least one site");
-        let site_of = match strategy {
-            PartitionStrategy::Hash => (0..n).map(|i| i % sites).collect(),
-            PartitionStrategy::Range => {
-                let chunk = n.div_ceil(sites).max(1);
-                (0..n).map(|i| (i / chunk).min(sites - 1)).collect()
-            }
-        };
-        GraphPartition { site_of, sites }
+        GraphPartition {
+            nodes: n,
+            sites,
+            strategy,
+            range: n.div_ceil(sites).max(1),
+        }
     }
 
     /// [`GraphPartition::from_node_count`] with the degenerate shapes rejected as typed
@@ -77,18 +82,34 @@ impl GraphPartition {
     }
 
     /// The site holding `node`.
+    #[inline]
     pub fn site_of(&self, node: NodeId) -> usize {
-        self.site_of[node.index()]
+        match self.strategy {
+            PartitionStrategy::Hash => node.index() % self.sites,
+            PartitionStrategy::Range => (node.index() / self.range).min(self.sites - 1),
+        }
     }
 
     /// Nodes owned by `site`, in ascending order.
     pub fn nodes_of(&self, site: usize) -> Vec<NodeId> {
-        self.site_of
-            .iter()
-            .enumerate()
-            .filter(|(_, &s)| s == site)
-            .map(|(i, _)| NodeId::from_index(i))
-            .collect()
+        match self.strategy {
+            PartitionStrategy::Hash => (site..self.nodes)
+                .step_by(self.sites)
+                .map(NodeId::from_index)
+                .collect(),
+            PartitionStrategy::Range => self.range_of(site).map(NodeId::from_index).collect(),
+        }
+    }
+
+    /// The id range a [`PartitionStrategy::Range`] fragment holds.
+    fn range_of(&self, site: usize) -> std::ops::Range<usize> {
+        let start = (site * self.range).min(self.nodes);
+        let end = if site + 1 == self.sites {
+            self.nodes
+        } else {
+            ((site + 1) * self.range).min(self.nodes)
+        };
+        start..end
     }
 
     /// Returns `true` when `node` has at least one neighbour stored on a different site —
@@ -124,11 +145,14 @@ impl GraphPartition {
 
     /// Sizes of all fragments.
     pub fn fragment_sizes(&self) -> Vec<usize> {
-        let mut sizes = vec![0usize; self.sites];
-        for &s in &self.site_of {
-            sizes[s] += 1;
-        }
-        sizes
+        (0..self.sites)
+            .map(|site| match self.strategy {
+                PartitionStrategy::Hash => {
+                    self.nodes / self.sites + usize::from(site < self.nodes % self.sites)
+                }
+                PartitionStrategy::Range => self.range_of(site).len(),
+            })
+            .collect()
     }
 }
 

@@ -1,63 +1,60 @@
 //! The simulated coordinator/site runtime.
 //!
-//! Each site's balls (the balls centred at the site's own nodes) are evaluated in
-//! locality-contiguous chunks and reported as partial results `Θi` plus traffic counters
-//! back to the coordinator; the coordinator assembles the union. Every ball is evaluated
-//! exactly once (charged to the site owning its center), so the union equals the
-//! centralized result — the property the tests verify.
+//! The coordinator runs the engine's per-query preamble, a [`MatchPlan`] built under
+//! [`DistributedConfig::match_config`]: minimisation, the global dual filter, `Gm` and
+//! the skip and dirty filters. It splits the plan's centers by the site owning them, in
+//! ascending id order. Each site evaluates its balls with the plan's ball evaluator
+//! ([`MatchPlan::evaluate`]), the same one the centralized engine runs, and accounts the
+//! foreign ball members it would have to ship. Every ball is evaluated exactly once,
+//! charged to the site owning its center, so the union equals the centralized result —
+//! the property the tests verify.
 //!
 //! The fan-out reuses the matching engine's work-stealing chunk scheduler
 //! ([`ssim_core::parallel::StealScheduler`]): each site's center list is cut into
 //! chunks ([`ssim_core::parallel::chunk_plan`]), the site-ordered chunk list is dealt to
 //! one worker per site, and a worker whose sites ran dry steals whole chunks from loaded
 //! sites — a slow site overlaps with fast ones instead of barriering the run on the
-//! largest fragment. Each site matches its balls with the same ball-local compact engine
-//! ([`ssim_core::strong::match_compact_ball`]) the centralized `Match` runs, so engine
-//! improvements land on both runtimes at once. Every ball is built by its own bounded
-//! BFS and refined from scratch, so per-ball behaviour (and every counter except
-//! `chunks_stolen`) is independent of how the steals fall — a ball is built at exactly
-//! one site, once. Chunk boundaries are fixed, so the per-site attribution of
-//! `balls_per_site` follows the chunk plan.
+//! largest fragment. Every ball is built by its own bounded BFS and refined from
+//! scratch, so per-ball behaviour (and every counter except `chunks_stolen`) is
+//! independent of how the steals fall. Chunk boundaries are fixed, so the per-site
+//! attribution of `balls_per_site` follows the chunk plan.
 //!
 //! # Fault tolerance
 //!
-//! With [`DistributedConfig::recovery`] set, the fan-out runs under a coordinator
-//! **supervision loop** instead of the zero-overhead fast path. The loop advances in
-//! rounds: every round executes the still-pending chunks (each attempt wrapped in its
-//! own `catch_unwind`), then processes the outcomes deterministically in chunk-id order.
-//! A failed attempt — a contained panic, a dropped result message, a scripted delay at
-//! or past the policy timeout — is retried with exponential virtual-tick backoff until
-//! [`RecoveryPolicy::chunk_retries`] is exhausted; a site scripted to crash has its
-//! unfinished chunks reassigned to surviving sites before the round executes (crashes
-//! never consume retries). Because every ball is evaluated independently of the balls
-//! before it, a chunk's rows and counters are a pure function of its centers, so
-//! replayed and reassigned chunks are bit-safe: a recoverable run's output is
-//! bit-identical to the fault-free run, with the recovery trace confined to
-//! [`TrafficStats::recovery`]. Chunks lost past the budget
-//! degrade the output instead of failing it (under
-//! [`RecoveryPolicy::allow_degraded`]): their centers are reported in
+//! The fan-out is one coordinator **supervision loop** that advances in rounds: every
+//! round executes the still-pending chunks, each attempt wrapped in its own
+//! `catch_unwind`. Each worker keeps one report across its successful chunks; a chunk
+//! evaluates into a reused per-worker buffer that is merged on success and discarded on
+//! failure, so a round in which nothing fails costs no coordinator work beyond summing
+//! one report per worker.
+//!
+//! With [`DistributedConfig::recovery`] set, a failed attempt — a contained panic, a
+//! dropped result message, a scripted delay at or past the policy timeout — is retried
+//! with exponential virtual-tick backoff until [`RecoveryPolicy::chunk_retries`] is
+//! exhausted; failures are processed at the coordinator in chunk-id order. A site
+//! scripted to crash has its unfinished chunks reassigned to surviving sites before the
+//! round executes (crashes never consume retries). Because every ball is evaluated
+//! independently of the balls before it, a chunk's rows and counters are a pure function
+//! of its centers, so replayed and reassigned chunks are bit-safe: a recoverable run's
+//! output is bit-identical to the fault-free run, with the recovery trace confined to
+//! [`TrafficStats::recovery`]. Chunks lost past the budget degrade the output instead of
+//! failing it (under [`RecoveryPolicy::allow_degraded`]): their centers are reported in
 //! [`DistributedOutput::lost_centers`] and the coverage arithmetic
 //! `covered_balls + lost_balls == |V|` stays exact — the distributed mirror of the
-//! repetition budget/bail contract.
+//! repetition budget/bail contract. Without a policy the loop runs one round with no
+//! retries, and the first panicking chunk re-raises with its site/chunk coordinates.
 
 use crate::error::DistError;
 use crate::fault::{FaultAction, FaultPlan, RecoveryPolicy, RecoveryStats};
 use crate::partition::{GraphPartition, PartitionStrategy};
-use ssim_core::ball::{locality_center_order, BallSubstrate};
-use ssim_core::dual::dual_simulation_with;
-use ssim_core::gm::{match_gm_ball, GmSubstrate};
+use ssim_core::ball::BallSubstrate;
 use ssim_core::incremental::{PreparedGlobal, UpdatePlan};
 use ssim_core::match_graph::PerfectSubgraph;
-use ssim_core::minimize::minimize_pattern;
 use ssim_core::parallel::{
     chunk_plan, effective_workers, panic_message, par_workers, StealScheduler,
 };
-use ssim_core::relation::MatchRelation;
 use ssim_core::repetition::{RepetitionMode, RepetitionSemantics};
-use ssim_core::simulation::RefineStrategy;
-use ssim_core::strong::{
-    match_compact_ball_filtered_with, match_compact_ball_with, translate_to_outer,
-};
+use ssim_core::strong::{DataRef, MatchConfig, MatchPlan};
 use ssim_graph::{BallScratch, BitSet, CompactBall, Graph, NodeId, Pattern};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -76,8 +73,8 @@ pub struct DistributedConfig {
     /// `MatchConfig::dual_filter`.
     pub dual_filter: bool,
     /// Which graph the sites' ball pipelines traverse under [`Self::dual_filter`]: the
-    /// coordinator-extracted match graph `Gm` (each site walks its own slice of `Gm`'s
-    /// locality order) or the full data graph. Ignored without `dual_filter`.
+    /// coordinator-extracted match graph `Gm` (each site walks its own slice of `Gm`) or
+    /// the full data graph. Ignored without `dual_filter`.
     pub ball_substrate: BallSubstrate,
     /// How [`crate::incremental::IncrementalDistributed`] reacts to graph deltas:
     /// coordinator-side state maintenance with per-site dirty-ball routing (the
@@ -92,11 +89,10 @@ pub struct DistributedConfig {
     /// Which implementation enforces a non-`Free` repetition semantics at the sites
     /// (the integrated closure or the naive per-pair oracle).
     pub repetition_mode: RepetitionMode,
-    /// `None` (the default) runs the zero-overhead fast path, where a worker panic
-    /// propagates and aborts the run as before. `Some(policy)` routes the fan-out
-    /// through the coordinator supervision loop: chunk failures are contained and
-    /// retried, crashed sites' chunks are reassigned, and chunks lost past the budget
-    /// degrade the output with exact coverage accounting instead of panicking.
+    /// `None` (the default) runs the supervision loop without retries: a worker panic
+    /// re-raises and aborts the run as before. `Some(policy)` contains and retries chunk
+    /// failures, reassigns crashed sites' chunks, and degrades the output with exact
+    /// coverage accounting when chunks are lost past the budget instead of panicking.
     pub recovery: Option<RecoveryPolicy>,
 }
 
@@ -135,6 +131,22 @@ impl DistributedConfig {
         }
         Ok(())
     }
+
+    /// The engine configuration the coordinator plans under and the sites evaluate
+    /// their balls with: this configuration's query-level switches on plain `Match` —
+    /// the pattern's own radius, worklist refinement and no connectivity pruning.
+    /// [`ssim_core::strong::strong_simulation`] under it yields the same rows, with
+    /// relations over the original rather than the minimised pattern.
+    pub fn match_config(&self) -> MatchConfig {
+        MatchConfig {
+            minimize_query: self.minimize_query,
+            dual_filter: self.dual_filter,
+            ball_substrate: self.ball_substrate,
+            repetition: self.repetition,
+            repetition_mode: self.repetition_mode,
+            ..MatchConfig::basic()
+        }
+    }
 }
 
 /// Network-traffic accounting for one distributed run.
@@ -166,11 +178,11 @@ pub struct TrafficStats {
     pub dirty_balls: usize,
     /// Centers whose cached (or trivially absent) result was reused untouched.
     pub clean_balls: usize,
-    /// Locality-contiguous chunks of site center lists whose results reached the
-    /// coordinator. The per-site chunk plans depend only on the site center counts, so
-    /// this is identical at every worker count; on a supervised run each chunk counts
-    /// once however many attempts it took (failed attempts are accounted in
-    /// [`TrafficStats::recovery`]), and lost chunks do not count.
+    /// Chunks of site center lists whose results reached the coordinator. The per-site
+    /// chunk plans depend only on the site center counts, so this is identical at every
+    /// worker count; each chunk counts once however many attempts it took (failed
+    /// attempts are accounted in [`TrafficStats::recovery`]), and lost chunks do not
+    /// count.
     pub chunks_processed: usize,
     /// Chunks executed by a worker other than the one they were dealt to — cross-site
     /// load balancing in action. The one scheduling-dependent counter; excluded from
@@ -181,11 +193,11 @@ pub struct TrafficStats {
     /// contract); a fully successful run covers every node.
     pub covered_balls: usize,
     /// Ball centers whose evaluation was lost past the retry budget (the members of
-    /// [`DistributedOutput::lost_centers`]). Zero on the fast path.
+    /// [`DistributedOutput::lost_centers`]). Zero on every fault-free run.
     pub lost_balls: usize,
-    /// Recovery-event counters from the supervision loop; all zero on the fast path and
-    /// on a fault-free supervised run. Deterministic given the input and the fault plan
-    /// (rounds are barriers), unlike `chunks_stolen`.
+    /// Recovery-event counters from the supervision loop; all zero on a fault-free run.
+    /// Deterministic given the input and the fault plan (rounds are barriers), unlike
+    /// `chunks_stolen`.
     pub recovery: RecoveryStats,
     /// Number of balls evaluated by each site. Reassigned chunks stay charged to the
     /// site owning their centers, so a recoverable run's attribution matches the
@@ -196,7 +208,8 @@ pub struct TrafficStats {
 /// Result of a distributed strong-simulation run.
 #[derive(Debug, Clone)]
 pub struct DistributedOutput {
-    /// The union of the sites' partial results, ordered by ball center.
+    /// The union of the sites' partial results, ordered by ball center. Relations are
+    /// over the minimised pattern's classes when the query was minimised.
     pub subgraphs: Vec<PerfectSubgraph>,
     /// Aggregated traffic counters.
     pub traffic: TrafficStats,
@@ -220,139 +233,6 @@ impl DistributedOutput {
     }
 }
 
-/// Delta-invariant coordinator state cached across incremental applies.
-///
-/// * The **partition** depends only on `|V|`, the site count and the strategy — both
-///   strategies assign ownership by node id, so edge deltas can never move a node to
-///   another site. One partition serves the whole delta stream (cloned into each
-///   [`DistributedOutput`], a memcpy instead of a rebuild).
-/// * The **locality order** is one undirected BFS order over *all* substrate nodes;
-///   each apply filters it down to its dirty centers (bit-identical to ordering the
-///   filtered set directly — the order is produced by filtering a whole-graph BFS).
-///   The order is a performance hint, not a correctness input: any permutation of the
-///   centers yields the same rows, so it is reused until the substrate itself is
-///   replaced (a `Gm` re-extraction) rather than per delta.
-#[derive(Default)]
-pub struct CoordinatorCache {
-    partition: Option<GraphPartition>,
-    locality: Option<Vec<NodeId>>,
-}
-
-impl CoordinatorCache {
-    /// An empty cache; fills lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops the cached locality order (the substrate it ordered was replaced).
-    pub fn invalidate_locality(&mut self) {
-        self.locality = None;
-    }
-
-    fn partition(&mut self, n: usize, config: &DistributedConfig) -> GraphPartition {
-        let stale = self.partition.as_ref().is_none_or(|p| {
-            p.sites() != config.sites || p.fragment_sizes().iter().sum::<usize>() != n
-        });
-        if stale {
-            self.partition = Some(GraphPartition::from_node_count(
-                n,
-                config.sites,
-                config.strategy,
-            ));
-        }
-        self.partition.clone().expect("filled above")
-    }
-
-    fn locality(&mut self, match_data: &Graph, centers: &[NodeId]) -> Vec<NodeId> {
-        let stale = self
-            .locality
-            .as_ref()
-            .is_none_or(|order| order.len() != match_data.node_count());
-        if stale {
-            let all: Vec<NodeId> = match_data.nodes().collect();
-            self.locality = Some(locality_center_order(match_data, &all));
-        }
-        let order = self.locality.as_ref().expect("filled above");
-        let mut wanted = BitSet::new(match_data.node_count());
-        for &c in centers {
-            wanted.insert(c.index());
-        }
-        order
-            .iter()
-            .copied()
-            .filter(|c| wanted.contains(c.index()))
-            .collect()
-    }
-}
-
-/// The coordinator's data argument: the flat graph, or — when the whole run stays
-/// inside the prepared `Gm` — just its node count (the overlay-serving path).
-enum DistData<'a> {
-    Flat(&'a Graph),
-    CountOnly(usize),
-}
-
-impl DistData<'_> {
-    #[inline]
-    fn node_count(&self) -> usize {
-        match self {
-            DistData::Flat(g) => g.node_count(),
-            DistData::CountOnly(n) => *n,
-        }
-    }
-
-    #[inline]
-    fn flat(&self) -> Result<&Graph, DistError> {
-        match self {
-            DistData::Flat(g) => Ok(g),
-            DistData::CountOnly(_) => Err(DistError::FlatGraphRequired),
-        }
-    }
-}
-
-/// One unit of schedulable site work: a contiguous slice of `site`'s locality-ordered
-/// center list. `index` is the chunk's ordinal within the site's plan — together
-/// `(site, index)` is the chunk's stable identity, the coordinate fault plans key on.
-/// Chunk boundaries depend only on the site center counts, never on the worker count or
-/// steal timing.
-struct SiteChunk {
-    site: usize,
-    index: usize,
-    range: std::ops::Range<usize>,
-}
-
-/// Partial result produced by one fan-out worker, possibly spanning chunks of several
-/// sites (its own plus stolen ones); per-site attribution survives in `balls_per_site`.
-/// The supervised path produces one report per *successful chunk attempt* instead — the
-/// merge only ever sums reports, so both granularities feed it unchanged.
-struct WorkerReport {
-    subgraphs: Vec<PerfectSubgraph>,
-    border_balls: usize,
-    shipped_balls: usize,
-    shipped_nodes: usize,
-    shipped_edges: usize,
-    built_balls: usize,
-    chunks_processed: usize,
-    chunks_stolen: usize,
-    balls_per_site: Vec<usize>,
-}
-
-impl WorkerReport {
-    fn new(sites: usize) -> Self {
-        WorkerReport {
-            subgraphs: Vec::new(),
-            border_balls: 0,
-            shipped_balls: 0,
-            shipped_nodes: 0,
-            shipped_edges: 0,
-            built_balls: 0,
-            chunks_processed: 0,
-            chunks_stolen: 0,
-            balls_per_site: vec![0; sites],
-        }
-    }
-}
-
 /// Runs strong simulation of `pattern` over `data` distributed across
 /// `config.sites` simulated sites.
 pub fn distributed_strong_simulation(
@@ -360,7 +240,7 @@ pub fn distributed_strong_simulation(
     data: &Graph,
     config: &DistributedConfig,
 ) -> Result<DistributedOutput, DistError> {
-    distributed_with_prepared(pattern, data, config, None, None)
+    distributed_with_prepared(pattern, DataRef::Flat(data), config, None, None, None)
 }
 
 /// [`distributed_strong_simulation`] under a scripted [`FaultPlan`]: site crashes,
@@ -375,301 +255,112 @@ pub fn distributed_with_faults(
     config: &DistributedConfig,
     faults: &FaultPlan,
 ) -> Result<DistributedOutput, DistError> {
-    let mut cache = CoordinatorCache::new();
-    distributed_impl(
+    distributed_with_prepared(
         pattern,
-        DistData::Flat(data),
+        DataRef::Flat(data),
         config,
         None,
         None,
-        &mut cache,
         Some(faults),
     )
 }
 
-/// [`distributed_strong_simulation`] with the incremental driver's hooks, mirroring
+/// The entry point of the query service, mirroring
 /// [`ssim_core::strong::match_with_prepared`]: a coordinator-maintained global state
-/// (skipping the global fixpoint and `Gm` extraction) and a dirty-center filter in
+/// (skipping the global fixpoint and `Gm` extraction), a dirty-center filter in
 /// data-graph ids — only dirty centers are routed to their owning sites, which is how a
-/// delta's work is distributed.
-pub fn distributed_with_prepared(
-    pattern: &Pattern,
-    data: &Graph,
-    config: &DistributedConfig,
-    prepared: Option<PreparedGlobal<'_>>,
-    dirty: Option<&BitSet>,
-) -> Result<DistributedOutput, DistError> {
-    let mut cache = CoordinatorCache::new();
-    distributed_impl(
-        pattern,
-        DistData::Flat(data),
-        config,
-        prepared,
-        dirty,
-        &mut cache,
-        None,
-    )
-}
-
-/// [`distributed_with_prepared`] with a [`CoordinatorCache`] carried across calls (so
-/// repeated applies against the same node count reuse the partition and the substrate
-/// locality order instead of rebuilding both per delta) and an optional fault plan for
-/// chaos-testing the incremental path.
-pub fn distributed_with_prepared_cached(
-    pattern: &Pattern,
-    data: &Graph,
-    config: &DistributedConfig,
-    prepared: Option<PreparedGlobal<'_>>,
-    dirty: Option<&BitSet>,
-    cache: &mut CoordinatorCache,
-    faults: Option<&FaultPlan>,
-) -> Result<DistributedOutput, DistError> {
-    distributed_impl(
-        pattern,
-        DistData::Flat(data),
-        config,
-        prepared,
-        dirty,
-        cache,
-        faults,
-    )
-}
-
-/// [`distributed_with_prepared`] without the flat data graph, mirroring
-/// [`ssim_core::strong::match_with_prepared_counted`]: on the prepared match-graph
-/// substrate every site runs inside the cached `Gm`, so the coordinator only needs the
-/// data node count (partitions are id-based) — which lets the incremental driver serve
-/// straight from its overlay without materialising a CSR per update.
+/// delta's work is distributed — and an optional fault plan. On the prepared
+/// match-graph substrate every site runs inside the cached `Gm`, so
+/// [`DataRef::CountOnly`] suffices (partitions are id-based) and the service serves
+/// straight from its overlay.
 ///
-/// Fails with [`DistError::FlatGraphRequired`] when the configuration would traverse
-/// raw data adjacency (`dual_filter` off, or a total relation on the full-graph oracle
-/// substrate) and with [`DistError::PreparedStateMissingGm`] when the prepared state
-/// lacks the extraction the match-graph substrate needs.
-pub fn distributed_with_prepared_counted(
+/// Fails with [`DistError::FlatGraphRequired`] when a count-only run would traverse raw
+/// data adjacency (`dual_filter` off, or a total relation on the full-graph oracle
+/// substrate) and with [`DistError::PreparedStateMissingGm`] when a count-only prepared
+/// state lacks the extraction the match-graph substrate needs. A non-empty fault plan
+/// without a recovery policy is rejected up front, so no entry point can panic on a
+/// scripted fault.
+pub(crate) fn distributed_with_prepared(
     pattern: &Pattern,
-    data_node_count: usize,
-    config: &DistributedConfig,
-    prepared: PreparedGlobal<'_>,
-    dirty: Option<&BitSet>,
-    cache: &mut CoordinatorCache,
-    faults: Option<&FaultPlan>,
-) -> Result<DistributedOutput, DistError> {
-    distributed_impl(
-        pattern,
-        DistData::CountOnly(data_node_count),
-        config,
-        prepared.into(),
-        dirty,
-        cache,
-        faults,
-    )
-}
-
-/// The public-path gate in front of [`distributed_core`]: a non-empty fault plan
-/// without a recovery policy is rejected up front, so no public entry point can panic
-/// on a scripted fault. (The core itself accepts the combination — the propagation
-/// regression test uses it to drive the fast path's abort behaviour directly.)
-fn distributed_impl(
-    pattern: &Pattern,
-    data: DistData<'_>,
+    data: DataRef<'_>,
     config: &DistributedConfig,
     prepared: Option<PreparedGlobal<'_>>,
     dirty: Option<&BitSet>,
-    cache: &mut CoordinatorCache,
     faults: Option<&FaultPlan>,
 ) -> Result<DistributedOutput, DistError> {
     if faults.is_some_and(|plan| !plan.is_empty()) && config.recovery.is_none() {
         return Err(DistError::FaultPlanNeedsRecovery);
     }
-    distributed_core(pattern, data, config, prepared, dirty, cache, faults)
+    distributed_core(pattern, data, config, prepared, dirty, faults)
 }
 
-/// Everything the fan-out paths need from the coordinator preamble, bundled so the fast
-/// and supervised paths share one signature.
-struct FanoutCtx<'a> {
-    pattern: &'a Pattern,
-    match_data: &'a Graph,
-    gm: Option<&'a GmSubstrate>,
-    relation: Option<&'a MatchRelation>,
-    partition: &'a GraphPartition,
-    site_centers: &'a [Vec<NodeId>],
-    radius: usize,
-    config: &'a DistributedConfig,
-}
-
+/// [`distributed_with_prepared`] without the fault-plan gate. The propagation
+/// regression test drives scripted faults without a recovery policy through it.
 fn distributed_core(
     pattern: &Pattern,
-    data: DistData<'_>,
+    data: DataRef<'_>,
     config: &DistributedConfig,
     prepared: Option<PreparedGlobal<'_>>,
     dirty: Option<&BitSet>,
-    cache: &mut CoordinatorCache,
     faults: Option<&FaultPlan>,
 ) -> Result<DistributedOutput, DistError> {
-    config.validate(data.node_count())?;
-    let partition = cache.partition(data.node_count(), config);
+    let n = data.node_count();
+    config.validate(n)?;
+    let partition = GraphPartition::from_node_count(n, config.sites, config.strategy);
 
-    // Coordinator step 1: optionally minimise the query, then "broadcast" it. The ball
-    // radius stays the diameter of the original query (Lemma 3).
-    let radius = pattern.diameter();
-    let effective_pattern = if config.minimize_query {
-        minimize_pattern(pattern).pattern
-    } else {
-        pattern.clone()
-    };
-
-    // Coordinator step 1b (dual filter): the global dual-simulation relation — computed
-    // once here, or handed in already maintained by the incremental driver.
-    let empty_output = |partition: GraphPartition, dirty_balls: usize| {
-        let node_count = data.node_count();
-        DistributedOutput {
-            subgraphs: Vec::new(),
-            traffic: TrafficStats {
-                considered_balls: node_count,
-                skipped_balls: node_count,
-                dirty_balls,
-                clean_balls: node_count - dirty_balls,
-                covered_balls: node_count,
-                balls_per_site: vec![0; partition.sites()],
-                ..Default::default()
-            },
-            partition,
-            lost_centers: Vec::new(),
-        }
-    };
-    let computed_global: Option<MatchRelation> = match (config.dual_filter, prepared) {
-        (true, None) => {
-            match dual_simulation_with(&effective_pattern, data.flat()?, RefineStrategy::Worklist) {
-                Some(rel) => Some(rel),
-                None => {
-                    // No ball anywhere can match: skip every center at the coordinator.
-                    let dirty_balls = dirty.map_or(data.node_count(), BitSet::len);
-                    return Ok(empty_output(partition, dirty_balls));
-                }
-            }
-        }
-        _ => None,
-    };
-    let global_relation: Option<&MatchRelation> = if config.dual_filter {
-        match prepared {
-            Some(p) => {
-                if !p.relation.is_total() {
-                    // The maintained fixpoint is empty: no ball anywhere can match.
-                    let dirty_balls = dirty.map_or(data.node_count(), BitSet::len);
-                    return Ok(empty_output(partition, dirty_balls));
-                }
-                Some(p.relation)
-            }
-            None => computed_global.as_ref(),
-        }
-    } else {
-        None
-    };
-    let extracted: Option<GmSubstrate> = match (global_relation, prepared) {
-        (Some(global), None) if config.ball_substrate == BallSubstrate::MatchGraph => {
-            let mut matched = BitSet::new(0);
-            let (sub, inner) = global.extract_matched_subgraph(data.flat()?, &mut matched);
-            Some(GmSubstrate::new(&effective_pattern, sub, inner))
-        }
-        _ => None,
-    };
-    let gm: Option<&GmSubstrate> = match (global_relation, prepared) {
-        (Some(_), Some(p)) if config.ball_substrate == BallSubstrate::MatchGraph => {
-            Some(p.gm.ok_or(DistError::PreparedStateMissingGm)?)
-        }
-        (Some(_), None) if config.ball_substrate == BallSubstrate::MatchGraph => extracted.as_ref(),
-        _ => None,
-    };
-    let (match_data, local_relation): (&Graph, Option<&MatchRelation>) = match gm {
-        Some(gm) => (gm.graph(), Some(gm.relation())),
-        None => (data.flat()?, global_relation),
-    };
-
-    // One locality order over the whole substrate, split by owner (the site owning the
-    // *original* node — `Gm` ids translate back for the ownership lookup): site workers
-    // walk their own centers in this order (consecutive balls then share most of their
-    // members, which measured faster than id order on dense graphs), and the
-    // O(|V| + |E|) ordering BFS is paid once instead of once per site.
-    let centers: Vec<NodeId> = match (gm, global_relation) {
-        (Some(gm), _) => gm.graph().nodes().collect(),
-        (None, Some(global)) => {
-            let matched = global.matched_data_nodes();
-            data.flat()?
-                .nodes()
-                .filter(|c| matched.contains(c.index()))
-                .collect()
-        }
-        (None, None) => data.flat()?.nodes().collect(),
-    };
-    let skipped_balls = data.node_count() - centers.len();
-    // Incremental updates route only the dirty centers to their owning sites.
-    let centers: Vec<NodeId> = match dirty {
-        Some(dirty) => centers
-            .into_iter()
-            .filter(|&c| {
-                let outer = gm.map_or(c, |gm| gm.subgraph().outer_of(c));
-                dirty.contains(outer.index())
-            })
-            .collect(),
-        None => centers,
-    };
-    let mut site_centers: Vec<Vec<NodeId>> = vec![Vec::new(); partition.sites()];
-    for center in cache.locality(match_data, &centers) {
-        let owner = gm.map_or(center, |gm| gm.subgraph().outer_of(center));
-        site_centers[partition.site_of(owner)].push(center);
+    // Coordinator step 1: the engine's preamble, then "broadcast" the plan. Its centers
+    // go to the site owning them (the owner of the *original* node — `Gm` ids
+    // translate back for the ownership lookup), in ascending id order.
+    let plan = MatchPlan::new(pattern, data, &config.match_config(), prepared, dirty)?;
+    let mut site_centers: Vec<Vec<NodeId>> = vec![Vec::new(); config.sites];
+    for &center in plan.centers() {
+        site_centers[partition.site_of(plan.outer_of(center))].push(center);
     }
 
-    // Coordinator step 2: the sites' balls are evaluated in locality-contiguous chunks
-    // through the engine's work-stealing scheduler — one worker per site (clamped to
-    // the chunk count), each dealt its own site's chunks first, idle workers stealing
-    // whole chunks from loaded sites so a skewed fragment no longer barriers the run.
-    let mut site_chunks: Vec<SiteChunk> = Vec::new();
+    // Coordinator step 2: the sites' balls are evaluated in chunks through the
+    // supervised fan-out.
+    let mut chunks: Vec<SiteChunk> = Vec::new();
     for (site, centers) in site_centers.iter().enumerate() {
         for (index, range) in chunk_plan(centers.len()).into_iter().enumerate() {
-            site_chunks.push(SiteChunk { site, index, range });
-        }
-    }
-    let ctx = FanoutCtx {
-        pattern: &effective_pattern,
-        match_data,
-        gm,
-        relation: local_relation,
-        partition: &partition,
-        site_centers: &site_centers,
-        radius,
-        config,
-    };
-    let (reports, recovery, lost_centers) = match &config.recovery {
-        Some(policy) => {
-            let empty_plan = FaultPlan::none();
-            run_supervised(&ctx, site_chunks, policy, faults.unwrap_or(&empty_plan))
-        }
-        None => (
-            run_fast(&ctx, site_chunks, faults),
-            RecoveryStats::default(),
-            Vec::new(),
-        ),
-    };
-    if let Some(policy) = &config.recovery {
-        if !policy.allow_degraded && !lost_centers.is_empty() {
-            return Err(DistError::CoverageLost {
-                lost_balls: lost_centers.len(),
-                covered_balls: data.node_count() - lost_centers.len(),
+            chunks.push(SiteChunk {
+                site,
+                index,
+                range,
+                assigned: site,
+                failures: 0,
             });
         }
     }
+    let no_faults = FaultPlan::none();
+    let fanout = Fanout {
+        plan: &plan,
+        partition: &partition,
+        site_centers: &site_centers,
+        policy: config.recovery.as_ref(),
+        faults: faults.unwrap_or(&no_faults),
+    };
+    let (reports, recovery, lost_centers) = fanout.run(chunks);
+    if config
+        .recovery
+        .is_some_and(|policy| !policy.allow_degraded && !lost_centers.is_empty())
+    {
+        return Err(DistError::CoverageLost {
+            lost_balls: lost_centers.len(),
+            covered_balls: n - lost_centers.len(),
+        });
+    }
 
     // Assemble the union, deterministically ordered by ball center.
-    let dirty_balls = dirty.map_or(data.node_count(), BitSet::len);
+    let dirty_balls = dirty.map_or(n, BitSet::len);
     let mut traffic = TrafficStats {
-        considered_balls: data.node_count(),
-        skipped_balls,
+        considered_balls: n,
+        skipped_balls: plan.stats().balls_skipped,
         dirty_balls,
-        clean_balls: data.node_count() - dirty_balls,
-        covered_balls: data.node_count() - lost_centers.len(),
+        clean_balls: n - dirty_balls,
+        covered_balls: n - lost_centers.len(),
         lost_balls: lost_centers.len(),
         recovery,
-        balls_per_site: vec![0; partition.sites()],
+        balls_per_site: vec![0; config.sites],
         ..Default::default()
     };
     let mut subgraphs = Vec::new();
@@ -678,15 +369,15 @@ fn distributed_core(
         traffic.shipped_balls += report.shipped_balls;
         traffic.shipped_nodes += report.shipped_nodes;
         traffic.shipped_edges += report.shipped_edges;
-        traffic.built_balls += report.built_balls;
-        traffic.result_subgraphs += report.subgraphs.len();
         traffic.chunks_processed += report.chunks_processed;
         traffic.chunks_stolen += report.chunks_stolen;
         for (site, balls) in report.balls_per_site.iter().enumerate() {
             traffic.balls_per_site[site] += balls;
+            traffic.built_balls += balls;
         }
         subgraphs.extend(report.subgraphs);
     }
+    traffic.result_subgraphs = subgraphs.len();
     subgraphs.sort_by_key(|s| s.center);
     Ok(DistributedOutput {
         subgraphs,
@@ -696,87 +387,23 @@ fn distributed_core(
     })
 }
 
-/// The zero-overhead fan-out: one long-lived report per worker, panics re-raised with
-/// site/chunk coordinates (aborting the run — the behaviour every pre-recovery release
-/// had, preserved verbatim for `recovery: None`). The `faults` seam only scripts
-/// round-0 panics and is reachable solely through [`distributed_core`] — public entry
-/// points reject fault plans without a recovery policy.
-fn run_fast(
-    ctx: &FanoutCtx<'_>,
-    site_chunks: Vec<SiteChunk>,
-    faults: Option<&FaultPlan>,
-) -> Vec<WorkerReport> {
-    let workers = effective_workers(ctx.partition.sites(), site_chunks.len());
-    let scheduler = StealScheduler::new(workers, site_chunks);
-    let sites = ctx.partition.sites();
-    par_workers(workers, |t| {
-        let mut report = WorkerReport::new(sites);
-        let mut scratch = BallScratch::new();
-        while let Some((chunk, stolen)) = scheduler.next(t) {
-            report.chunks_processed += 1;
-            report.chunks_stolen += usize::from(stolen);
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                if faults.and_then(|plan| plan.action_at(chunk.site, chunk.index, 0))
-                    == Some(FaultAction::Panic)
-                {
-                    panic!("injected fault: scripted worker panic");
-                }
-                evaluate_chunk(
-                    chunk.site,
-                    ctx.pattern,
-                    ctx.match_data,
-                    ctx.gm,
-                    ctx.relation,
-                    ctx.partition,
-                    &ctx.site_centers[chunk.site][chunk.range.clone()],
-                    ctx.radius,
-                    &mut scratch,
-                    &mut report,
-                    ctx.config.repetition,
-                    ctx.config.repetition_mode,
-                )
-            }));
-            if let Err(payload) = caught {
-                panic!(
-                    "worker {t} panicked in site {} chunk {}..{}: {}",
-                    chunk.site,
-                    chunk.range.start,
-                    chunk.range.end,
-                    panic_message(&*payload)
-                );
-            }
-        }
-        report
-    })
-}
-
-/// A chunk the supervision loop still owes a result for.
-struct PendingChunk {
-    /// Owning site — the chunk's identity, stable across reassignment.
+/// One unit of schedulable site work: a contiguous slice of `site`'s center list.
+/// `index` is the chunk's ordinal within the site's plan — together `(site, index)` is
+/// the chunk's stable identity, the coordinate fault plans key on. Chunk boundaries
+/// depend only on the site center counts, never on the worker count or steal timing.
+struct SiteChunk {
     site: usize,
-    /// Ordinal within the owning site's chunk plan.
     index: usize,
     range: std::ops::Range<usize>,
-    /// Failed attempts so far; past `chunk_retries` the chunk is lost.
-    failures: usize,
     /// Site currently responsible for executing it (≠ `site` after a reassignment).
     assigned: usize,
+    /// Failed attempts so far; past the policy's `chunk_retries` the chunk is lost.
+    failures: usize,
 }
 
-/// One chunk execution dispatched within a supervision round.
-struct RoundItem {
-    /// Position in the round's `pending` list.
-    slot: usize,
-    site: usize,
-    index: usize,
-    range: std::ops::Range<usize>,
-}
-
-/// What one chunk attempt produced.
-enum AttemptOutcome {
-    /// Evaluation completed and the result message arrived (possibly `delay` virtual
-    /// ticks late, below the timeout).
-    Success { report: WorkerReport, delay: u64 },
+/// How one chunk attempt failed.
+#[derive(Clone, Copy)]
+enum Failure {
     /// The worker panicked (scripted or genuine) and the supervisor contained it.
     Panicked,
     /// Evaluation completed but the result message was lost in transit.
@@ -785,271 +412,287 @@ enum AttemptOutcome {
     TimedOut,
 }
 
-/// The supervised fan-out: rounds are barriers, every attempt is individually
-/// contained, and all failure handling happens at the coordinator in chunk-id order —
-/// which makes every recovery counter a deterministic function of the input and the
-/// fault plan (only `chunks_stolen` remains schedule-dependent). Returns the successful
-/// per-chunk reports, the recovery trace and the lost centers (outer ids, ascending).
-fn run_supervised(
-    ctx: &FanoutCtx<'_>,
-    site_chunks: Vec<SiteChunk>,
-    policy: &RecoveryPolicy,
-    plan: &FaultPlan,
-) -> (Vec<WorkerReport>, RecoveryStats, Vec<NodeId>) {
-    let sites = ctx.partition.sites();
-    let mut stats = RecoveryStats::default();
-    let mut dead = vec![false; sites];
-    let mut pending: Vec<PendingChunk> = site_chunks
-        .into_iter()
-        .map(|c| PendingChunk {
-            site: c.site,
-            index: c.index,
-            range: c.range,
-            failures: 0,
-            assigned: c.site,
-        })
-        .collect();
-    let mut done: Vec<WorkerReport> = Vec::new();
-    let mut lost: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
-    let mut round = 0usize;
-    while !pending.is_empty() {
-        // Crashes scheduled at or before this round take effect at its start: the dead
-        // site's unfinished chunks move to survivors (round-robin, in chunk order)
-        // before anything executes, so a crash never consumes a chunk's retries.
-        // Results shipped in earlier rounds already live at the coordinator.
-        for (site, when) in plan.crashes() {
-            if when <= round && site < sites && !dead[site] {
-                dead[site] = true;
-                stats.site_crashes += 1;
-            }
-        }
-        let survivors: Vec<usize> = (0..sites).filter(|&s| !dead[s]).collect();
-        if survivors.is_empty() {
-            // Nobody left to reassign to: every pending chunk is lost.
-            stats.chunks_lost += pending.len();
-            lost.extend(pending.drain(..).map(|c| (c.site, c.range)));
-            break;
-        }
-        let mut rr = 0usize;
-        for chunk in &mut pending {
-            if dead[chunk.assigned] {
-                chunk.assigned = survivors[rr % survivors.len()];
-                rr += 1;
-                stats.chunks_reassigned += 1;
-            }
-        }
-
-        // Execute this round's attempts through the steal scheduler, ordered by
-        // assigned site so each live site's worker is dealt its own chunks first.
-        let mut order: Vec<usize> = (0..pending.len()).collect();
-        order.sort_by_key(|&i| (pending[i].assigned, pending[i].site, pending[i].index));
-        let items: Vec<RoundItem> = order
-            .iter()
-            .map(|&i| RoundItem {
-                slot: i,
-                site: pending[i].site,
-                index: pending[i].index,
-                range: pending[i].range.clone(),
-            })
-            .collect();
-        let workers = effective_workers(survivors.len(), items.len());
-        let scheduler = StealScheduler::new(workers, items);
-        let outcomes: Vec<Vec<(usize, AttemptOutcome)>> = par_workers(workers, |t| {
-            let mut out: Vec<(usize, AttemptOutcome)> = Vec::new();
-            let mut scratch = BallScratch::new();
-            while let Some((item, stolen)) = scheduler.next(t) {
-                let scripted = plan.action_at(item.site, item.index, round);
-                let outcome = if scripted == Some(FaultAction::Panic) {
-                    // The scripted panic unwinds through the same containment a genuine
-                    // one would; the ball scratch is untouched (nothing ran).
-                    let unwound = catch_unwind(AssertUnwindSafe(|| {
-                        panic!("injected fault: scripted worker panic");
-                    }));
-                    debug_assert!(unwound.is_err());
-                    AttemptOutcome::Panicked
-                } else {
-                    let mut report = WorkerReport::new(sites);
-                    report.chunks_processed = 1;
-                    report.chunks_stolen = usize::from(stolen);
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        evaluate_chunk(
-                            item.site,
-                            ctx.pattern,
-                            ctx.match_data,
-                            ctx.gm,
-                            ctx.relation,
-                            ctx.partition,
-                            &ctx.site_centers[item.site][item.range.clone()],
-                            ctx.radius,
-                            &mut scratch,
-                            &mut report,
-                            ctx.config.repetition,
-                            ctx.config.repetition_mode,
-                        )
-                    }));
-                    match caught {
-                        Err(_) => {
-                            // A mid-chunk unwind may leave the ball scratch with stale
-                            // entries; replace it so later attempts on this worker start
-                            // from known-good state.
-                            scratch = BallScratch::new();
-                            AttemptOutcome::Panicked
-                        }
-                        Ok(()) => match scripted {
-                            Some(FaultAction::DropResult) => AttemptOutcome::Dropped,
-                            Some(FaultAction::Delay(t)) if t >= policy.chunk_timeout_ticks => {
-                                AttemptOutcome::TimedOut
-                            }
-                            Some(FaultAction::Delay(t)) => {
-                                AttemptOutcome::Success { report, delay: t }
-                            }
-                            _ => AttemptOutcome::Success { report, delay: 0 },
-                        },
-                    }
-                };
-                out.push((item.slot, outcome));
-            }
-            out
-        });
-
-        // Coordinator processing, deterministically in chunk-id order regardless of
-        // which worker ran what.
-        let mut flat: Vec<(usize, AttemptOutcome)> = outcomes.into_iter().flatten().collect();
-        flat.sort_by_key(|&(slot, _)| (pending[slot].site, pending[slot].index));
-        let mut finished = vec![false; pending.len()];
-        for (slot, outcome) in flat {
-            let failed = match outcome {
-                AttemptOutcome::Success { report, delay } => {
-                    stats.delay_ticks += delay;
-                    done.push(report);
-                    finished[slot] = true;
-                    false
-                }
-                AttemptOutcome::Panicked => {
-                    stats.panics_contained += 1;
-                    true
-                }
-                AttemptOutcome::Dropped => {
-                    stats.results_dropped += 1;
-                    true
-                }
-                AttemptOutcome::TimedOut => {
-                    stats.chunk_timeouts += 1;
-                    true
-                }
-            };
-            if failed {
-                let chunk = &mut pending[slot];
-                chunk.failures += 1;
-                if chunk.failures > policy.chunk_retries {
-                    stats.chunks_lost += 1;
-                    finished[slot] = true;
-                    lost.push((chunk.site, chunk.range.clone()));
-                } else {
-                    stats.chunk_retries += 1;
-                    stats.backoff_ticks +=
-                        policy.backoff_ticks << (chunk.failures - 1).min(32) as u32;
-                }
-            }
-        }
-        let mut keep = finished.iter().map(|&f| !f);
-        pending.retain(|_| keep.next().expect("one flag per chunk"));
-        if pending.is_empty() {
-            break;
-        }
-        round += 1;
-        stats.retry_rounds += 1;
-    }
-
-    // Lost chunks' centers, translated to the caller's id space and sorted.
-    let outer_of = |v: NodeId| ctx.gm.map_or(v, |gm| gm.subgraph().outer_of(v));
-    let mut lost_centers: Vec<NodeId> = lost
-        .into_iter()
-        .flat_map(|(site, range)| ctx.site_centers[site][range].iter().copied())
-        .map(outer_of)
-        .collect();
-    lost_centers.sort_unstable();
-    (done, stats, lost_centers)
+/// Partial result of one fan-out worker over a round, possibly spanning chunks of
+/// several sites (its own plus stolen ones); per-site attribution survives in
+/// `balls_per_site`, and every ball counted there was built once. The same shape
+/// buffers a single chunk attempt until the attempt is known to have succeeded.
+struct WorkerReport {
+    subgraphs: Vec<PerfectSubgraph>,
+    border_balls: usize,
+    shipped_balls: usize,
+    shipped_nodes: usize,
+    shipped_edges: usize,
+    chunks_processed: usize,
+    chunks_stolen: usize,
+    balls_per_site: Vec<usize>,
 }
 
-/// Evaluates one chunk of `site`'s balls, each built by its own bounded BFS and refined
-/// from scratch. `centers` is the chunk's slice of the site's locality order, in `data`'s
-/// id space — which is the coordinator's `Gm` slice when `gm` is present (`data` is then
-/// the extracted graph, and ownership/traffic lookups translate through it). A center is
-/// owned by exactly one site and appears in exactly one chunk, so each ball is evaluated
-/// — and counted as built — exactly once across the whole run.
-#[allow(clippy::too_many_arguments)]
-fn evaluate_chunk(
-    site: usize,
-    pattern: &Pattern,
-    data: &Graph,
-    gm: Option<&GmSubstrate>,
-    global_relation: Option<&MatchRelation>,
-    partition: &GraphPartition,
-    centers: &[NodeId],
-    radius: usize,
-    scratch: &mut BallScratch,
-    report: &mut WorkerReport,
-    repetition: RepetitionSemantics,
-    repetition_mode: RepetitionMode,
-) {
-    // Ownership and the border metric live on the *original* graph's ids.
-    let outer_of = |v: NodeId| gm.map_or(v, |gm| gm.subgraph().outer_of(v));
-    for &center in centers {
-        report.balls_per_site[site] += 1;
-        // Border centers: a substrate neighbour stored on a different site. On the
-        // match-graph substrate this is `Gm` adjacency — only edges a ball could ship.
-        if partition.is_border_node_translated(data, center, outer_of) {
-            report.border_balls += 1;
+impl WorkerReport {
+    fn new(sites: usize) -> Self {
+        WorkerReport {
+            subgraphs: Vec::new(),
+            border_balls: 0,
+            shipped_balls: 0,
+            shipped_nodes: 0,
+            shipped_edges: 0,
+            chunks_processed: 0,
+            chunks_stolen: 0,
+            balls_per_site: vec![0; sites],
         }
-        report.built_balls += 1;
-        let ball = CompactBall::build(data, center, radius, scratch);
-        // Traffic accounting: every ball member stored on a different site would have to be
-        // shipped to this site, together with its incident ball edges. On the match-graph
-        // substrate the members and edges *are* `Gm`'s — exactly the data a site would
-        // fetch — so the counts are taken over the substrate adjacency.
-        let foreign: Vec<NodeId> = ball
-            .to_global()
-            .iter()
-            .copied()
-            .filter(|&v| partition.site_of(outer_of(v)) != site)
+    }
+
+    /// Moves a successful attempt's buffer into this report, leaving the buffer empty
+    /// with its allocations kept for the next attempt.
+    fn absorb(&mut self, attempt: &mut WorkerReport) {
+        self.subgraphs.append(&mut attempt.subgraphs);
+        self.border_balls += std::mem::take(&mut attempt.border_balls);
+        self.shipped_balls += std::mem::take(&mut attempt.shipped_balls);
+        self.shipped_nodes += std::mem::take(&mut attempt.shipped_nodes);
+        self.shipped_edges += std::mem::take(&mut attempt.shipped_edges);
+        for (total, balls) in self
+            .balls_per_site
+            .iter_mut()
+            .zip(&mut attempt.balls_per_site)
+        {
+            *total += std::mem::take(balls);
+        }
+        self.chunks_processed += 1;
+    }
+
+    /// Discards a failed attempt's partial buffer.
+    fn discard(&mut self) {
+        self.subgraphs.clear();
+        self.border_balls = 0;
+        self.shipped_balls = 0;
+        self.shipped_nodes = 0;
+        self.shipped_edges = 0;
+        self.balls_per_site.fill(0);
+    }
+}
+
+/// Everything the fan-out reads from the coordinator.
+struct Fanout<'a> {
+    plan: &'a MatchPlan<'a>,
+    partition: &'a GraphPartition,
+    site_centers: &'a [Vec<NodeId>],
+    /// `None` runs one round without retries; the first panic re-raises.
+    policy: Option<&'a RecoveryPolicy>,
+    faults: &'a FaultPlan,
+}
+
+impl Fanout<'_> {
+    /// The supervised fan-out: rounds are barriers, every attempt is individually
+    /// contained, and failure handling happens at the coordinator in chunk-id order —
+    /// which makes every recovery counter a deterministic function of the input and the
+    /// fault plan (only `chunks_stolen` remains schedule-dependent). Returns one report
+    /// per worker and round, the recovery trace and the lost centers (outer ids,
+    /// ascending).
+    fn run(&self, mut pending: Vec<SiteChunk>) -> (Vec<WorkerReport>, RecoveryStats, Vec<NodeId>) {
+        let sites = self.partition.sites();
+        let retries = self.policy.map_or(0, |p| p.chunk_retries);
+        let backoff = self.policy.map_or(0, |p| p.backoff_ticks);
+        let mut stats = RecoveryStats::default();
+        let mut dead = vec![false; sites];
+        let mut done: Vec<WorkerReport> = Vec::new();
+        let mut lost: Vec<(usize, std::ops::Range<usize>)> = Vec::new();
+        let mut round = 0usize;
+        while !pending.is_empty() {
+            // Crashes scheduled at or before this round take effect at its start: the
+            // dead site's unfinished chunks move to survivors (round-robin, in chunk
+            // order) before anything executes, so a crash never consumes a chunk's
+            // retries. Results shipped in earlier rounds already live at the coordinator.
+            for (site, when) in self.faults.crashes() {
+                if when <= round && site < sites && !dead[site] {
+                    dead[site] = true;
+                    stats.site_crashes += 1;
+                }
+            }
+            let survivors: Vec<usize> = (0..sites).filter(|&s| !dead[s]).collect();
+            if survivors.is_empty() {
+                // Nobody left to reassign to: every pending chunk is lost.
+                stats.chunks_lost += pending.len();
+                lost.extend(pending.drain(..).map(|c| (c.site, c.range)));
+                break;
+            }
+            let mut rr = 0usize;
+            for chunk in &mut pending {
+                if dead[chunk.assigned] {
+                    chunk.assigned = survivors[rr % survivors.len()];
+                    rr += 1;
+                    stats.chunks_reassigned += 1;
+                }
+            }
+
+            // Execute this round's attempts through the steal scheduler, ordered by
+            // assigned site so each live site's worker is dealt its own chunks first.
+            // `pending` stays in chunk-id order, so only reassigned chunks need a sort.
+            let mut order: Vec<usize> = (0..pending.len()).collect();
+            if pending.iter().any(|c| c.assigned != c.site) {
+                order.sort_by_key(|&slot| pending[slot].assigned);
+            }
+            let workers = effective_workers(survivors.len(), order.len());
+            let scheduler = StealScheduler::new(workers, order);
+            let outcomes = par_workers(workers, |t| self.worker(t, round, &pending, &scheduler));
+
+            let mut failed: Vec<(usize, Failure)> = Vec::new();
+            for (report, failures, delay_ticks) in outcomes {
+                done.push(report);
+                failed.extend(failures);
+                stats.delay_ticks += delay_ticks;
+            }
+            if failed.is_empty() {
+                break;
+            }
+            // Coordinator processing, deterministically in chunk-id order regardless of
+            // which worker ran what.
+            failed.sort_unstable_by_key(|&(slot, _)| slot);
+            let mut retry = vec![false; pending.len()];
+            for (slot, failure) in failed {
+                match failure {
+                    Failure::Panicked => stats.panics_contained += 1,
+                    Failure::Dropped => stats.results_dropped += 1,
+                    Failure::TimedOut => stats.chunk_timeouts += 1,
+                }
+                let chunk = &mut pending[slot];
+                chunk.failures += 1;
+                if chunk.failures > retries {
+                    stats.chunks_lost += 1;
+                    lost.push((chunk.site, chunk.range.clone()));
+                } else {
+                    retry[slot] = true;
+                    stats.chunk_retries += 1;
+                    stats.backoff_ticks += backoff << (chunk.failures - 1).min(32) as u32;
+                }
+            }
+            let mut keep = retry.into_iter();
+            pending.retain(|_| keep.next().expect("one flag per chunk"));
+            if pending.is_empty() {
+                break;
+            }
+            round += 1;
+            stats.retry_rounds += 1;
+        }
+
+        // Lost chunks' centers, translated to the caller's id space and sorted.
+        let mut lost_centers: Vec<NodeId> = lost
+            .into_iter()
+            .flat_map(|(site, range)| self.site_centers[site][range].iter().copied())
+            .map(|v| self.plan.outer_of(v))
             .collect();
-        if !foreign.is_empty() {
-            report.shipped_balls += 1;
-            report.shipped_nodes += foreign.len();
-            for &v in &foreign {
-                report.shipped_edges += data
-                    .out_neighbors(v)
-                    .chain(data.in_neighbors(v))
-                    .filter(|w| ball.local_of(*w).is_some())
-                    .count();
+        lost_centers.sort_unstable();
+        (done, stats, lost_centers)
+    }
+
+    /// One worker's share of a round: its report over the successful attempts, the
+    /// failed attempts (by `pending` slot) and the benign delay ticks it absorbed.
+    fn worker(
+        &self,
+        t: usize,
+        round: usize,
+        pending: &[SiteChunk],
+        scheduler: &StealScheduler<usize>,
+    ) -> (WorkerReport, Vec<(usize, Failure)>, u64) {
+        let sites = self.partition.sites();
+        let mut report = WorkerReport::new(sites);
+        let mut attempt = WorkerReport::new(sites);
+        let mut failures = Vec::new();
+        let mut delay_ticks = 0;
+        let mut scratch = BallScratch::new();
+        while let Some((slot, stolen)) = scheduler.next(t) {
+            let chunk = &pending[slot];
+            let scripted = self.faults.action_at(chunk.site, chunk.index, round);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                if scripted == Some(FaultAction::Panic) {
+                    panic!("injected fault: scripted worker panic");
+                }
+                self.evaluate_chunk(chunk, &mut scratch, &mut attempt);
+            }));
+            let failure = match (caught, scripted) {
+                (Err(payload), _) => {
+                    if self.policy.is_none() {
+                        panic!(
+                            "worker {t} panicked in site {} chunk {}..{}: {}",
+                            chunk.site,
+                            chunk.range.start,
+                            chunk.range.end,
+                            panic_message(&*payload)
+                        );
+                    }
+                    // A mid-chunk unwind may leave the ball scratch with stale entries;
+                    // replace it so later attempts on this worker start from known-good
+                    // state.
+                    scratch = BallScratch::new();
+                    Some(Failure::Panicked)
+                }
+                (Ok(()), Some(FaultAction::DropResult)) => Some(Failure::Dropped),
+                (Ok(()), Some(FaultAction::Delay(ticks))) => {
+                    if self.policy.is_some_and(|p| ticks >= p.chunk_timeout_ticks) {
+                        Some(Failure::TimedOut)
+                    } else {
+                        delay_ticks += ticks;
+                        None
+                    }
+                }
+                (Ok(()), _) => None,
+            };
+            match failure {
+                None => {
+                    report.absorb(&mut attempt);
+                    report.chunks_stolen += usize::from(stolen);
+                }
+                Some(failure) => {
+                    attempt.discard();
+                    failures.push((slot, failure));
+                }
             }
         }
-        let subgraph = if let Some(gm) = gm {
-            // Balls inside `Gm` refine and extract over its candidate adjacency.
-            match_gm_ball(pattern, &ball, gm, repetition, repetition_mode).0
-        } else if let Some(global) = global_relation {
-            match_compact_ball_filtered_with(
-                pattern,
-                &ball,
-                data,
-                global,
-                repetition,
-                repetition_mode,
-            )
-            .0
-        } else {
-            match_compact_ball_with(pattern, &ball, data, repetition, repetition_mode).0
-        };
-        if let Some(subgraph) = subgraph {
-            // The id-translation boundary: sites speak substrate ids, reports speak the
-            // caller's data-graph ids.
-            report.subgraphs.push(match gm {
-                Some(gm) => translate_to_outer(subgraph, gm.subgraph()),
-                None => subgraph,
-            });
+        (report, failures, delay_ticks)
+    }
+
+    /// Evaluates one chunk of its owning site's balls into `out`, each ball built by its
+    /// own bounded BFS in the plan's graph — `Gm` on the match-graph substrate, where
+    /// ownership and traffic lookups translate back to data-graph ids. A center is
+    /// owned by exactly one site and appears in exactly one chunk, so each ball is
+    /// evaluated — and counted as built — exactly once across the whole run.
+    fn evaluate_chunk(&self, chunk: &SiteChunk, scratch: &mut BallScratch, out: &mut WorkerReport) {
+        let plan = self.plan;
+        let graph = plan.graph();
+        let site = chunk.site;
+        for &center in &self.site_centers[site][chunk.range.clone()] {
+            out.balls_per_site[site] += 1;
+            // Border centers: a substrate neighbour stored on a different site. On the
+            // match-graph substrate this is `Gm` adjacency — only edges a ball could ship.
+            if self
+                .partition
+                .is_border_node_translated(graph, center, |v| plan.outer_of(v))
+            {
+                out.border_balls += 1;
+            }
+            let ball = CompactBall::build(graph, center, plan.radius(), scratch);
+            // Traffic accounting: every ball member stored on a different site would have
+            // to be shipped to this site, together with its incident ball edges. On the
+            // match-graph substrate the members and edges *are* `Gm`'s — exactly the data
+            // a site would fetch — so the counts are taken over the substrate adjacency.
+            let mut foreign = 0usize;
+            for &v in ball.to_global() {
+                if self.partition.site_of(plan.outer_of(v)) != site {
+                    foreign += 1;
+                    out.shipped_edges += graph
+                        .out_neighbors(v)
+                        .chain(graph.in_neighbors(v))
+                        .filter(|w| ball.local_of(*w).is_some())
+                        .count();
+                }
+            }
+            if foreign > 0 {
+                out.shipped_balls += 1;
+                out.shipped_nodes += foreign;
+            }
+            if let Some(subgraph) = plan.evaluate(&ball).0 {
+                out.subgraphs.push(subgraph);
+            }
+            ball.recycle(scratch);
         }
-        ball.recycle(scratch);
     }
 }
 
@@ -1418,24 +1061,26 @@ mod tests {
     #[test]
     fn counted_entry_without_gm_returns_typed_errors() {
         let (pattern, data) = small_case();
-        let relation = dual_simulation_with(&pattern, &data, RefineStrategy::Worklist)
-            .expect("extracted pattern matches its own graph");
-        let mut cache = CoordinatorCache::new();
+        let relation = ssim_core::dual::dual_simulation_with(
+            &pattern,
+            &data,
+            ssim_core::simulation::RefineStrategy::Worklist,
+        )
+        .expect("extracted pattern matches its own graph");
         // Without the dual filter the counted path must traverse the flat graph.
         let flat_needed = DistributedConfig {
             dual_filter: false,
             ..DistributedConfig::default()
         };
-        let err = distributed_with_prepared_counted(
+        let err = distributed_with_prepared(
             &pattern,
-            data.node_count(),
+            DataRef::CountOnly(data.node_count()),
             &flat_needed,
-            PreparedGlobal {
+            Some(PreparedGlobal {
                 relation: &relation,
                 gm: None,
-            },
+            }),
             None,
-            &mut cache,
             None,
         )
         .unwrap_err();
@@ -1446,16 +1091,15 @@ mod tests {
             ball_substrate: BallSubstrate::MatchGraph,
             ..DistributedConfig::default()
         };
-        let err = distributed_with_prepared_counted(
+        let err = distributed_with_prepared(
             &pattern,
-            data.node_count(),
+            DataRef::CountOnly(data.node_count()),
             &gm_needed,
-            PreparedGlobal {
+            Some(PreparedGlobal {
                 relation: &relation,
                 gm: None,
-            },
+            }),
             None,
-            &mut cache,
             None,
         )
         .unwrap_err();
@@ -1464,8 +1108,8 @@ mod tests {
 
     #[test]
     fn scripted_panic_propagates_without_recovery() {
-        // The pre-recovery abort behaviour, pinned: on the fast path a worker panic
-        // re-raises with site/chunk coordinates. Driven through the private core — the
+        // The pre-recovery abort behaviour, pinned: without a recovery policy a worker
+        // panic re-raises with site/chunk coordinates. Driven through the private core — the
         // public entry points refuse fault plans without a recovery policy.
         let (pattern, data) = small_case();
         let mut plan = FaultPlan::none();
@@ -1476,18 +1120,16 @@ mod tests {
             ..DistributedConfig::default()
         };
         let caught = catch_unwind(AssertUnwindSafe(|| {
-            let mut cache = CoordinatorCache::new();
             distributed_core(
                 &pattern,
-                DistData::Flat(&data),
+                DataRef::Flat(&data),
                 &config,
                 None,
                 None,
-                &mut cache,
                 Some(&plan),
             )
         }));
-        let payload = caught.expect_err("the scripted panic must abort the fast path");
+        let payload = caught.expect_err("the scripted panic must abort the run");
         let message = panic_message(&*payload).to_string();
         assert!(
             message.contains("panicked in site 0 chunk"),

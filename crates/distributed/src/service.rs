@@ -7,10 +7,9 @@
 //! runs the edge-ball sweeps once per distinct radius, [`fold_batch`] folds a batch into
 //! its net delta, and one [`SubstrateCache`] shares the flat materialisation across the
 //! full-graph-substrate queries of an apply. What this service adds per query is the
-//! coordinator pass: dirty centers routed to their owning sites through the query's
-//! [`CoordinatorCache`], rows shipped back and spliced, optionally under a scripted
-//! [`FaultPlan`] with lost-center healing — centers a degraded apply lost are re-routed
-//! on the next one.
+//! coordinator pass: dirty centers routed to their owning sites, rows shipped back and
+//! spliced, optionally under a scripted [`FaultPlan`] with lost-center healing — centers
+//! a degraded apply lost are re-routed on the next one.
 //!
 //! Every shared value is a pure function of inputs a one-query service would compute
 //! for itself, so each query's [`DistributedOutput`] subgraphs track a private session
@@ -18,13 +17,11 @@
 
 use crate::error::DistError;
 use crate::fault::FaultPlan;
-use crate::runtime::{
-    distributed_with_prepared_cached, distributed_with_prepared_counted, CoordinatorCache,
-    DistributedConfig, DistributedOutput,
-};
+use crate::runtime::{distributed_with_prepared, DistributedConfig, DistributedOutput};
 use ssim_core::incremental::{splice_rows, PatternState};
 use ssim_core::service::{fold_batch, QueryId, SharingStats, SubstrateCache, SubstrateStep};
 use ssim_core::simulation::RefineStrategy;
+use ssim_core::strong::DataRef;
 use ssim_graph::{
     Graph, GraphDelta, GraphEpoch, OverlayGraph, Pattern, SnapshotHandle, VersionedGraph,
 };
@@ -33,8 +30,6 @@ struct Session {
     pattern: Pattern,
     config: DistributedConfig,
     state: PatternState,
-    /// Partition + locality order survive across applies.
-    cache: CoordinatorCache,
     output: DistributedOutput,
 }
 
@@ -87,7 +82,6 @@ impl DistributedQueryService {
             config.ball_substrate,
             RefineStrategy::Worklist,
         );
-        let mut cache = CoordinatorCache::new();
         // One unrestricted pass, copy-free off the base CSR while the overlay is flat.
         let flat;
         let graph = if data.is_flat() {
@@ -96,20 +90,18 @@ impl DistributedQueryService {
             flat = data.to_graph();
             &flat
         };
-        let output = distributed_with_prepared_cached(
+        let output = distributed_with_prepared(
             pattern,
-            graph,
+            DataRef::Flat(graph),
             &config,
             state.prepared(),
             None,
-            &mut cache,
             None,
         )?;
         self.sessions.push(Some(Session {
             pattern: pattern.clone(),
             config,
             state,
-            cache,
             output,
         }));
         Ok(QueryId(self.sessions.len() - 1))
@@ -242,10 +234,6 @@ impl DistributedQueryService {
         for sess in self.sessions.iter_mut().flatten() {
             let (pre, post) = step.edge_dirty(&sess.state);
             let mut effect = sess.state.advance_applied(data, &delta, pre, post);
-            if effect.gm_reextracted {
-                // The cached locality order ranked the *old* extraction's ids.
-                sess.cache.invalidate_locality();
-            }
             // Lost-center healing: centers a previous degraded apply lost have no
             // trustworthy cached rows. Marking them dirty routes them to (live) sites
             // again and splices their fresh rows in below — and removes any stale
@@ -253,32 +241,25 @@ impl DistributedQueryService {
             for &center in &sess.output.lost_centers {
                 effect.dirty.insert(center.index());
             }
-            let mut out = match sess.state.prepared() {
+            let prepared = sess.state.prepared();
+            let data_ref = match prepared {
                 // The serving path: the whole run stays inside the maintained `Gm` (or
                 // short-circuits on an empty fixpoint) — no flat graph at all.
                 Some(p) if p.gm.is_some() || !p.relation.is_total() => {
-                    distributed_with_prepared_counted(
-                        &sess.pattern,
-                        data.node_count(),
-                        &sess.config,
-                        p,
-                        Some(&effect.dirty),
-                        &mut sess.cache,
-                        faults,
-                    )?
+                    DataRef::CountOnly(data.node_count())
                 }
                 // Full-graph-substrate shapes localise in the raw data graph: one flat
                 // materialisation per apply, shared by every such query.
-                p => distributed_with_prepared_cached(
-                    &sess.pattern,
-                    shared.flat(data),
-                    &sess.config,
-                    p,
-                    Some(&effect.dirty),
-                    &mut sess.cache,
-                    faults,
-                )?,
+                _ => DataRef::Flat(shared.flat(data)),
             };
+            let mut out = distributed_with_prepared(
+                &sess.pattern,
+                data_ref,
+                &sess.config,
+                prepared,
+                Some(&effect.dirty),
+                faults,
+            )?;
             let fresh = std::mem::replace(
                 &mut out.subgraphs,
                 std::mem::take(&mut sess.output.subgraphs),

@@ -3,14 +3,22 @@
 //! The paper's data-locality argument: strong simulation can be evaluated per ball, so a
 //! partitioned evaluation that ships only boundary balls reproduces the centralized result.
 
+mod common;
+
+use proptest::prelude::*;
+use ssim_core::match_graph::PerfectSubgraph;
+use ssim_core::minimize::minimize_pattern;
 use ssim_core::strong::{strong_simulation, MatchConfig};
+use ssim_core::{BallSubstrate, RepetitionSemantics};
 use ssim_datasets::paper;
 use ssim_datasets::patterns::extract_pattern;
 use ssim_datasets::reallike::amazon_like;
 use ssim_datasets::synthetic::{synthetic, SyntheticConfig};
 use ssim_distributed::{
     distributed_strong_simulation, DistributedConfig, GraphPartition, PartitionStrategy,
+    RecoveryPolicy, RecoveryStats, TrafficStats,
 };
+use ssim_graph::{NodeId, Pattern};
 
 #[test]
 fn distributed_matches_centralized_across_sites_and_strategies() {
@@ -127,5 +135,107 @@ fn partition_invariants() {
                 assert_eq!(p.is_border_node(&data, v), has_foreign_neighbor);
             }
         }
+    }
+}
+
+/// Distributed rows in the form `strong_simulation` reports them: with `minimize_query`
+/// the runtime leaves each relation over the minimised pattern's classes, so every
+/// class pair expands to one pair per original pattern node of the class.
+fn expand_classes(
+    pattern: &Pattern,
+    minimized: bool,
+    rows: &[PerfectSubgraph],
+) -> Vec<PerfectSubgraph> {
+    if !minimized {
+        return rows.to_vec();
+    }
+    let class_of = minimize_pattern(pattern).class_of;
+    rows.iter()
+        .map(|row| {
+            let mut relation: Vec<(NodeId, NodeId)> = row
+                .relation
+                .iter()
+                .flat_map(|&(class, v)| {
+                    class_of
+                        .iter()
+                        .enumerate()
+                        .filter(move |&(_, &c)| c == class)
+                        .map(move |(u, _)| (NodeId::from_index(u), v))
+                })
+                .collect();
+            relation.sort_unstable();
+            PerfectSubgraph {
+                relation,
+                ..row.clone()
+            }
+        })
+        .collect()
+}
+
+/// Zeroes the counters steal timing and supervision are allowed to perturb.
+fn normalized(t: &TrafficStats) -> TrafficStats {
+    TrafficStats {
+        chunks_stolen: 0,
+        recovery: RecoveryStats::default(),
+        ..t.clone()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Locality at the row level: for every site count, partition strategy and query
+    /// switch, the distributed rows — class-expanded — are bit-identical to
+    /// `strong_simulation` under the configuration the sites run
+    /// (`DistributedConfig::match_config`); every considered center is either skipped
+    /// or built exactly once at one site; and the supervision loop with a recovery
+    /// policy and nothing scripted reports the same rows and traffic as without one.
+    #[test]
+    fn distributed_rows_equal_centralized_under_the_matching_config(
+        (data, q) in common::skewed_case(),
+        sites in 1usize..4,
+        hash in any::<bool>(),
+        dual_filter in any::<bool>(),
+        full_graph in any::<bool>(),
+        minimize_query in any::<bool>(),
+        repetition in 0usize..3,
+    ) {
+        let config = DistributedConfig {
+            sites,
+            strategy: if hash { PartitionStrategy::Hash } else { PartitionStrategy::Range },
+            minimize_query,
+            dual_filter,
+            ball_substrate: if full_graph {
+                BallSubstrate::FullGraph
+            } else {
+                BallSubstrate::MatchGraph
+            },
+            repetition: [
+                RepetitionSemantics::Free,
+                RepetitionSemantics::Distinct,
+                RepetitionSemantics::Equal,
+            ][repetition],
+            ..DistributedConfig::default()
+        };
+        let out = distributed_strong_simulation(&q, &data, &config).expect("sites <= |V|");
+        let central = strong_simulation(&q, &data, &config.match_config());
+        prop_assert_eq!(expand_classes(&q, minimize_query, &out.subgraphs), central.subgraphs);
+
+        let t = &out.traffic;
+        let evaluated: usize = t.balls_per_site.iter().sum();
+        prop_assert_eq!(t.considered_balls, t.skipped_balls + evaluated);
+        prop_assert_eq!(t.built_balls, evaluated);
+
+        let supervised = distributed_strong_simulation(
+            &q,
+            &data,
+            &DistributedConfig {
+                recovery: Some(RecoveryPolicy::default()),
+                ..config
+            },
+        )
+        .expect("valid recovery policy");
+        prop_assert_eq!(&supervised.subgraphs, &out.subgraphs);
+        prop_assert_eq!(normalized(&supervised.traffic), normalized(t));
     }
 }

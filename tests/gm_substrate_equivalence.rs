@@ -315,8 +315,9 @@ proptest! {
         }
     }
 
-    /// The substrate axis composes with the other oracle axes: the legacy `|V|`-sized
-    /// engine, alone and with the naive fixpoint, agrees across substrates.
+    /// The substrate axis composes with the other oracle axes: the sequential
+    /// dual-filtered engine, with worklist and with naive-fixpoint refinement, agrees
+    /// across substrates.
     #[test]
     fn substrates_agree_with_other_axes_pinned_to_oracles(data in data_graph(), q in pattern()) {
         let Some(global) = dual_simulation(&q, &data) else {
@@ -327,12 +328,10 @@ proptest! {
         let shapes = [
             MatchConfig {
                 dual_filter: true,
-                compact_balls: false,
                 ..MatchConfig::basic()
             },
             MatchConfig {
                 refine_strategy: RefineStrategy::NaiveFixpoint,
-                compact_balls: false,
                 dual_filter: true,
                 ..MatchConfig::basic()
             },

@@ -14,8 +14,8 @@
 //! * **match layer** — along random delta streams over the workload generators, the
 //!   incremental session's `MatchOutput` rows are bit-identical to the recompute
 //!   oracle's and to a one-shot `strong_simulation` on the updated graph, with the
-//!   other engine axes (`RefineStrategy × BallSubstrate`, plus the legacy `|V|`-sized
-//!   engine) pinned at their defaults AND composed into every oracle shape;
+//!   other engine axes (`RefineStrategy × BallSubstrate`) pinned at their defaults AND
+//!   composed into every oracle shape;
 //! * **distributed layer** — the coordinator's per-site dirty-ball routing returns the
 //!   same rows as a distributed recompute, and `dirty_balls + clean_balls == |V|`.
 //!
@@ -68,13 +68,6 @@ fn config_matrix() -> Vec<(&'static str, MatchConfig)> {
         (
             "full-substrate",
             MatchConfig::optimized().with_ball_substrate(BallSubstrate::FullGraph),
-        ),
-        (
-            "legacy-balls",
-            MatchConfig {
-                compact_balls: false,
-                ..MatchConfig::optimized()
-            },
         ),
         (
             "seed-shape",
