@@ -602,8 +602,21 @@ fn main() {
             .iter()
             .map(|&t| MatchConfig::basic().with_thread_limit(t))
             .collect();
-        let cfg_refs: Vec<&MatchConfig> = thread_cfgs.iter().collect();
-        let scaled = time_configs(&pattern, &data, &cfg_refs, runs);
+        // The 1- and 2-thread points carry bench-smoke's scaling gates, and one run
+        // here takes 2–4 ms: sampled by `alternating_medians`.
+        let [secs_1t, secs_2t] = alternating_medians(|side| {
+            let t = Instant::now();
+            let out = strong_simulation(&pattern, &data, &thread_cfgs[side]);
+            let secs = t.elapsed().as_secs_f64();
+            assert_eq!(out.subgraphs.len(), match_out.subgraphs.len());
+            secs
+        });
+        let mut scaled = vec![
+            (secs_1t, strong_simulation(&pattern, &data, &thread_cfgs[0])),
+            (secs_2t, strong_simulation(&pattern, &data, &thread_cfgs[1])),
+        ];
+        let cfg_refs: Vec<&MatchConfig> = thread_cfgs[2..].iter().collect();
+        scaled.extend(time_configs(&pattern, &data, &cfg_refs, runs));
         for (_, out) in &scaled {
             assert_eq!(
                 out.subgraphs.len(),

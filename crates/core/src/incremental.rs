@@ -7,9 +7,13 @@
 //! an edge change can only affect the balls whose members lie within substrate distance
 //! `dQ` of a node the change touched. This module holds the per-pattern maintenance
 //! ([`PatternState`], steps 1–3 below) and the private session type
-//! [`IncrementalMatcher`]. The apply itself — substrate step, dirty sweep, restricted
-//! pass and splice (step 4) — is owned by [`crate::service::QueryService`]; an
-//! incremental `IncrementalMatcher` is a one-query service.
+//! [`IncrementalMatcher`], generic over the service's [`Executor`] (the distributed
+//! crate's session is the same type on its partitioned executor). The apply itself —
+//! substrate step, dirty sweep, the executor's restricted pass and the splice (step 4)
+//! — is owned by [`crate::service::QueryService`]; an incremental `IncrementalMatcher`
+//! is a one-query service. Every maintained query is planned from its `PatternState`
+//! ([`crate::strong::MatchPlan::for_state`]), so its pattern is minimised once, when
+//! the state is built.
 //!
 //! 1. **Global relation maintenance.** Under `dual_filter`, the exact global
 //!    dual-simulation fixpoint is *maintained* across a [`GraphDelta`] instead of
@@ -35,11 +39,10 @@
 //!    insertions; `Gm` extractions on the match-graph substrate). Everything outside
 //!    the sweeps is provably bit-identical.
 //! 4. **Row splicing.** Only dirty centers re-run through the (unchanged) ball
-//!    pipeline — fresh balls, refinement, pruning, extraction — via
-//!    [`crate::strong::match_with_prepared`]; their rows are spliced ([`splice_rows`])
-//!    into the cached
-//!    pre-deduplication row set, and deduplication is re-applied over the splice, so the
-//!    assembled [`MatchOutput`] is bit-identical to a full recompute.
+//!    pipeline — fresh balls, refinement, pruning, extraction — in the executor's pass;
+//!    their rows are spliced ([`splice_rows`]) into the cached pre-deduplication row
+//!    set, and deduplication is re-applied over the splice, so the assembled output is
+//!    bit-identical to a full recompute.
 //!
 //! [`UpdatePlan::Recompute`] is the oracle (pinned by
 //! [`crate::strong::MatchConfig::seed_reference`]): it applies the delta and re-runs the
@@ -54,13 +57,12 @@ use crate::gm::GmSubstrate;
 use crate::match_graph::PerfectSubgraph;
 use crate::minimize::minimize_pattern;
 use crate::relation::MatchRelation;
-use crate::service::{QueryId, QueryService};
+use crate::service::{Executor, Local, QueryId, QueryService};
 use crate::simulation::RefineStrategy;
-use crate::strong::{MatchConfig, MatchOutput};
+use crate::strong::MatchConfig;
 use ssim_graph::delta::{mark_edge_ball_centers, mark_within_distance};
 use ssim_graph::{
-    AdjView, BitSet, ExtractedSubgraph, Graph, GraphDelta, GraphError, NodeId, OverlayGraph,
-    Pattern,
+    AdjView, BitSet, ExtractedSubgraph, Graph, GraphDelta, NodeId, OverlayGraph, Pattern,
 };
 use std::collections::VecDeque;
 
@@ -289,6 +291,9 @@ pub fn update_global_fixpoint<V: AdjView>(
 pub struct PatternState {
     /// The effective pattern: minimised when the configuration minimises queries.
     pub effective: Pattern,
+    /// The original pattern nodes of every node of `effective`; empty when the
+    /// configuration does not minimise queries.
+    pub class_members: Vec<Vec<NodeId>>,
     /// Ball radius (the *original* pattern's diameter unless overridden — Lemma 3).
     pub radius: usize,
     /// Whether a global fixpoint is maintained at all.
@@ -337,18 +342,21 @@ impl PatternState {
         substrate: BallSubstrate,
         refine_strategy: RefineStrategy,
     ) -> Self {
-        let (effective, radius) = if minimize {
+        let (effective, class_members, radius) = if minimize {
             let m = minimize_pattern(pattern);
             let radius = radius_override.unwrap_or(m.original_diameter);
-            (m.pattern, radius)
+            let class_members = m.class_members();
+            (m.pattern, class_members, radius)
         } else {
             (
                 pattern.clone(),
+                Vec::new(),
                 radius_override.unwrap_or(pattern.diameter()),
             )
         };
         let mut state = PatternState {
             effective,
+            class_members,
             radius,
             dual_filter,
             substrate,
@@ -397,8 +405,8 @@ impl PatternState {
     /// [`PatternState::radius`]. They are inputs (rather than computed here) so a
     /// multi-pattern caller can compute them once per distinct radius and fan them out;
     /// they are ignored when [`PatternState::sweeps_data_edges`] is `false` (the `Gm`
-    /// path sweeps its own extractions). [`crate::service::SubstrateStep`] computes
-    /// them.
+    /// path sweeps its own extractions). [`crate::service::QueryService`]'s apply
+    /// computes them.
     pub fn advance_applied(
         &mut self,
         data: &OverlayGraph,
@@ -598,7 +606,9 @@ pub fn splice_rows(
     *rows = merged;
 }
 
-/// Work accounting of the most recent [`IncrementalMatcher::apply`].
+/// Work accounting of one query's most recent [`QueryService::apply`] (or of its
+/// initial run), as [`QueryService::last_update`] and [`IncrementalMatcher::last_update`]
+/// report it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Centers the delta marked dirty (re-evaluated through the ball pipeline).
@@ -635,56 +645,72 @@ impl UpdateStats {
 
 /// Per-plan state of the matcher: the incremental plan is a one-query [`QueryService`],
 /// the recompute oracle keeps a flat graph and its own output.
-enum PlanState {
-    Incremental {
-        service: Box<QueryService>,
-        id: QueryId,
-    },
-    Recompute(Box<Recompute>),
+enum PlanState<E: Executor> {
+    Incremental(QueryService<E>),
+    Recompute(Box<Recompute<E>>),
 }
 
-/// The recompute oracle: a flat graph, rebuilt per delta, and a full re-match.
-struct Recompute {
+/// The recompute oracle: a flat graph, rebuilt per delta, and a one-shot run on it.
+struct Recompute<E: Executor> {
+    executor: E,
     pattern: Pattern,
+    config: E::Config,
     data: Graph,
-    output: MatchOutput,
+    output: E::Output,
     last_update: UpdateStats,
 }
 
-/// A strong-simulation session over a mutating data graph.
+/// A strong-simulation session over a mutating data graph, served by the executor `E`.
 ///
 /// Construct once, then feed [`GraphDelta`]s through [`IncrementalMatcher::apply`]; the
-/// cached [`MatchOutput`] after every apply is bit-identical (subgraph rows) to running
-/// [`crate::strong::strong_simulation`] on the updated graph with the same
-/// configuration. `config.update_plan` picks the maintenance strategy —
-/// [`UpdatePlan::Incremental`] (the default) or the [`UpdatePlan::Recompute`] oracle.
-/// The incremental plan owns no apply of its own: it is a [`QueryService`] holding this
-/// one query, so the session and the service are one code path.
-pub struct IncrementalMatcher {
-    config: MatchConfig,
-    plan: PlanState,
+/// cached output after every apply is bit-identical (subgraph rows) to a one-shot run on
+/// the updated graph with the same configuration ([`crate::strong::strong_simulation`]
+/// on the [`Local`] executor). The update plan of the executor's [`MatchConfig`] picks
+/// the maintenance strategy — [`UpdatePlan::Incremental`] (the default) or the
+/// [`UpdatePlan::Recompute`] oracle, which re-runs the executor's one-shot matcher per
+/// delta. The incremental plan owns no apply of its own: it is a [`QueryService`]
+/// holding this one query, so the session and the service are one code path.
+pub struct IncrementalMatcher<E: Executor = Local> {
+    plan: PlanState<E>,
 }
 
 /// The incremental plan's query is registered at construction and never deregistered.
-const SOLE_QUERY: &str = "the session's query stays registered";
+const SOLE_QUERY: QueryId = QueryId(0);
+const REGISTERED: &str = "the session's query stays registered";
 
 impl IncrementalMatcher {
     /// Runs the initial match over `data` and caches everything the chosen plan needs.
     pub fn new(pattern: &Pattern, data: Graph, config: MatchConfig) -> Self {
-        let plan = match config.update_plan {
+        IncrementalMatcher::with_executor(pattern, data, config, Local)
+            .expect("local passes do not fail")
+    }
+}
+
+impl<E: Executor> IncrementalMatcher<E> {
+    /// Runs the initial match over `data` on `executor` and caches everything the
+    /// chosen plan needs. Fails when the executor rejects the configuration.
+    pub fn with_executor(
+        pattern: &Pattern,
+        data: Graph,
+        config: E::Config,
+        executor: E,
+    ) -> Result<Self, E::Error> {
+        let plan = match executor.match_config(&config).update_plan {
             UpdatePlan::Recompute => PlanState::Recompute(Box::new(Recompute {
-                output: crate::strong::strong_simulation(pattern, &data, &config),
+                output: executor.oneshot(pattern, &data, &config, &E::Faults::default())?,
                 last_update: UpdateStats::full_pass(data.node_count()),
+                executor,
                 pattern: pattern.clone(),
+                config,
                 data,
             })),
             UpdatePlan::Incremental => {
-                let mut service = Box::new(QueryService::new(data));
-                let id = service.register(pattern, config);
-                PlanState::Incremental { service, id }
+                let mut service = QueryService::with_executor(data, executor);
+                service.try_register(pattern, config)?;
+                PlanState::Incremental(service)
             }
         };
-        IncrementalMatcher { config, plan }
+        Ok(IncrementalMatcher { plan })
     }
 
     /// The current data graph (after every applied delta), materialised flat.
@@ -695,7 +721,7 @@ impl IncrementalMatcher {
     /// without materialising.
     pub fn data(&self) -> Graph {
         match &self.plan {
-            PlanState::Incremental { service, .. } => service.data(),
+            PlanState::Incremental(service) => service.data(),
             PlanState::Recompute(oracle) => oracle.data.clone(),
         }
     }
@@ -704,20 +730,23 @@ impl IncrementalMatcher {
     /// a flat graph and rebuilds it per delta.
     pub fn overlay(&self) -> Option<&OverlayGraph> {
         match &self.plan {
-            PlanState::Incremental { service, .. } => Some(service.published()),
+            PlanState::Incremental(service) => Some(service.published()),
             PlanState::Recompute(_) => None,
         }
     }
 
     /// The configuration the session runs under.
-    pub fn config(&self) -> &MatchConfig {
-        &self.config
+    pub fn config(&self) -> &E::Config {
+        match &self.plan {
+            PlanState::Incremental(service) => service.config(SOLE_QUERY).expect(REGISTERED),
+            PlanState::Recompute(oracle) => &oracle.config,
+        }
     }
 
     /// The match result over the current graph.
-    pub fn output(&self) -> &MatchOutput {
+    pub fn output(&self) -> &E::Output {
         match &self.plan {
-            PlanState::Incremental { service, id } => service.output(*id).expect(SOLE_QUERY),
+            PlanState::Incremental(service) => service.output(SOLE_QUERY).expect(REGISTERED),
             PlanState::Recompute(oracle) => &oracle.output,
         }
     }
@@ -726,7 +755,7 @@ impl IncrementalMatcher {
     /// initial run, where every ball is dirty by definition).
     pub fn last_update(&self) -> &UpdateStats {
         match &self.plan {
-            PlanState::Incremental { service, id } => service.last_update(*id).expect(SOLE_QUERY),
+            PlanState::Incremental(service) => service.last_update(SOLE_QUERY).expect(REGISTERED),
             PlanState::Recompute(oracle) => &oracle.last_update,
         }
     }
@@ -735,8 +764,18 @@ impl IncrementalMatcher {
     ///
     /// Returns the refreshed output; fails (leaving the session untouched) when the
     /// delta does not validate against the current graph.
-    pub fn apply(&mut self, delta: &GraphDelta) -> Result<&MatchOutput, GraphError> {
-        self.apply_batch(std::slice::from_ref(delta))
+    pub fn apply(&mut self, delta: &GraphDelta) -> Result<&E::Output, E::Error> {
+        self.apply_batch_with_faults(std::slice::from_ref(delta), &E::Faults::default())
+    }
+
+    /// [`IncrementalMatcher::apply`] under scripted faults
+    /// ([`QueryService::apply_with_faults`]).
+    pub fn apply_with_faults(
+        &mut self,
+        delta: &GraphDelta,
+        faults: &E::Faults,
+    ) -> Result<&E::Output, E::Error> {
+        self.apply_batch_with_faults(std::slice::from_ref(delta), faults)
     }
 
     /// Applies a batch of deltas as **one** maintenance step
@@ -749,21 +788,40 @@ impl IncrementalMatcher {
     /// Each delta must validate against the graph its predecessors produce; a
     /// mid-stream validation error leaves the session untouched. The recompute oracle
     /// applies the stream sequentially and re-matches once at the end.
-    pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<&MatchOutput, GraphError> {
+    pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<&E::Output, E::Error> {
+        self.apply_batch_with_faults(deltas, &E::Faults::default())
+    }
+
+    /// [`IncrementalMatcher::apply_batch`] under scripted faults.
+    pub fn apply_batch_with_faults(
+        &mut self,
+        deltas: &[GraphDelta],
+        faults: &E::Faults,
+    ) -> Result<&E::Output, E::Error> {
         match &mut self.plan {
-            PlanState::Incremental { service, .. } => {
-                service.apply_batch(deltas)?;
+            PlanState::Incremental(service) => {
+                service.apply_batch_with_faults(deltas, faults)?;
             }
             PlanState::Recompute(oracle) => {
+                let Recompute {
+                    executor,
+                    pattern,
+                    config,
+                    data,
+                    output,
+                    last_update,
+                } = &mut **oracle;
+                executor.admit(config, faults)?;
                 if let [first, rest @ ..] = deltas {
-                    let mut data = oracle.data.apply_delta(first)?;
+                    let mut next = data.apply_delta(first)?;
                     for d in rest {
-                        data = data.apply_delta(d)?;
+                        next = next.apply_delta(d)?;
                     }
-                    oracle.output =
-                        crate::strong::strong_simulation(&oracle.pattern, &data, &self.config);
-                    oracle.last_update = UpdateStats::full_pass(data.node_count());
-                    oracle.data = data;
+                    // Every row is recomputed, so a previous degraded apply heals here
+                    // by construction.
+                    *output = executor.oneshot(pattern, &next, config, faults)?;
+                    *last_update = UpdateStats::full_pass(next.node_count());
+                    *data = next;
                 }
             }
         }
@@ -774,7 +832,7 @@ impl IncrementalMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strong::strong_simulation;
+    use crate::strong::{strong_simulation, MatchOutput};
     use ssim_graph::Label;
 
     /// Chain data with alternating labels and a path pattern — small enough to reason

@@ -29,6 +29,15 @@ impl MinimizedPattern {
     pub fn reduced(&self) -> bool {
         self.pattern.size() < self.original_size
     }
+
+    /// The original pattern nodes of every class node of `Qm`, ascending.
+    pub fn class_members(&self) -> Vec<Vec<NodeId>> {
+        let mut members = vec![Vec::new(); self.pattern.node_count()];
+        for (original, class) in self.class_of.iter().enumerate() {
+            members[class.index()].push(NodeId::from_index(original));
+        }
+        members
+    }
 }
 
 /// Runs Algorithm `minQ`: computes the minimum pattern equivalent to `pattern` under dual

@@ -6,9 +6,12 @@
 //! applications, N edge-ball sweeps and N region extractions per update, even though
 //! every one of those is a pure function of the *shared* graph. [`QueryService`]
 //! collapses the redundancy without giving up the per-pattern bit-identity contract.
-//! It owns the apply: a private [`crate::incremental::IncrementalMatcher`] session is a
-//! one-query service, and the distributed service reuses the substrate half of the
-//! apply ([`SubstrateStep`], [`fold_batch`]) with its own per-query coordinator pass.
+//! It is the only registry and the only apply: a private
+//! [`crate::incremental::IncrementalMatcher`] session is a one-query service, and the
+//! distributed service is this service on a partitioned [`Executor`]. The executor is
+//! the one part that differs — where a query's balls run: the [`Local`] executor's
+//! pass runs them on this process's threads (with region extraction and the dirty
+//! bail), a partitioned one routes them to the sites owning their centers.
 //!
 //! 1. **One substrate.** The registry holds a single epoch-versioned
 //!    [`VersionedGraph`]; every registered query's [`PatternState`] (fixpoint, matched
@@ -56,11 +59,10 @@
 //! assert!(service.output(id).unwrap().is_match());
 //! ```
 
-use crate::incremental::{splice_rows, PatternState, UpdatePlan, UpdateStats};
+use crate::incremental::{splice_rows, PatternState, UpdateStats};
 use crate::match_graph::PerfectSubgraph;
 use crate::strong::{
-    distinct_indices, match_with_prepared, match_with_prepared_counted, translate_to_outer,
-    MatchConfig, MatchOutput, MatchStats,
+    distinct_indices, match_impl, translate_to_outer, DataRef, MatchConfig, MatchOutput, MatchPlan,
 };
 use ssim_graph::delta::{mark_edge_ball_centers, mark_within_distance};
 use ssim_graph::{
@@ -204,20 +206,178 @@ impl PatternBuilder {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QueryId(pub usize);
 
+/// Where a registered query's balls run: the one part of serving a standing query that
+/// differs between running it in-process ([`Local`]) and running it on partitioned
+/// sites (the distributed crate's executor). [`QueryService`] owns everything else —
+/// the registry, the shared substrate step, the pattern-state advance, the splice and
+/// the deduplication — and calls these hooks once per query and pass.
+pub trait Executor {
+    /// The configuration a query registers under.
+    type Config: Copy;
+    /// A query's cached result over the current graph.
+    type Output;
+    /// What a registration or an apply fails with; delta validation errors convert
+    /// into it.
+    type Error: From<GraphError>;
+    /// Scripted faults an apply can run under; `()` for an executor that has none.
+    type Faults: Default;
+
+    /// The engine configuration a query's [`PatternState`] is built under.
+    fn match_config(&self, config: &Self::Config) -> MatchConfig;
+
+    /// One pass of a query over the current graph: every ball (`dirty: None`) or only
+    /// the balls of the `dirty` centers (data-graph ids). The output's rows come back
+    /// in ascending center order and not deduplicated. `cache` is shared by every pass
+    /// of one apply.
+    fn run(
+        &self,
+        query: QueryRef<'_, Self::Config>,
+        data: &OverlayGraph,
+        dirty: Option<&BitSet>,
+        cache: &mut SubstrateCache,
+        faults: &Self::Faults,
+    ) -> Result<Self::Output, Self::Error>;
+
+    /// A from-scratch run over a flat graph, with no maintained state: the recompute
+    /// oracle of [`crate::incremental::IncrementalMatcher`].
+    fn oneshot(
+        &self,
+        pattern: &Pattern,
+        data: &Graph,
+        config: &Self::Config,
+        faults: &Self::Faults,
+    ) -> Result<Self::Output, Self::Error>;
+
+    /// The rows of an output, in ascending center order.
+    fn rows_mut<'o>(&self, output: &'o mut Self::Output) -> &'o mut Vec<PerfectSubgraph>;
+
+    /// Brings an output's counters in line with its spliced rows over `nodes` data
+    /// nodes; the work counters keep describing the most recent pass.
+    fn refresh(&self, output: &mut Self::Output, nodes: usize);
+
+    /// Rejects, before an apply moves any state, faults a query cannot run under.
+    fn admit(&self, _config: &Self::Config, _faults: &Self::Faults) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// Whether a pass with `dirty` of `nodes` centers dirty runs unrestricted instead,
+    /// replacing the query's rows wholesale.
+    fn bails(&self, _dirty: usize, _nodes: usize) -> bool {
+        false
+    }
+
+    /// Centers whose rows an earlier pass lost: the next apply re-runs them.
+    fn lost_centers<'o>(&self, _output: &'o Self::Output) -> &'o [NodeId] {
+        &[]
+    }
+}
+
+/// A registered query as an [`Executor`] pass sees it.
+#[derive(Clone, Copy)]
+pub struct QueryRef<'a, C> {
+    /// The pattern the query was registered with.
+    pub pattern: &'a Pattern,
+    /// The configuration the query was registered with.
+    pub config: &'a C,
+    /// The query's maintained state over the current graph.
+    pub state: &'a PatternState,
+}
+
+/// The in-process executor: a query's balls run on this process's worker threads
+/// ([`crate::strong`]'s fan-out), off the cheapest data representation the query admits
+/// — the maintained `Gm`, a dirty-region extraction or the flat overlay — and a delta
+/// that dirties more than 85 % of the balls re-runs them all.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Local;
+
+impl Executor for Local {
+    type Config = MatchConfig;
+    type Output = MatchOutput;
+    type Error = GraphError;
+    type Faults = ();
+
+    fn match_config(&self, config: &MatchConfig) -> MatchConfig {
+        *config
+    }
+
+    fn run(
+        &self,
+        query: QueryRef<'_, MatchConfig>,
+        data: &OverlayGraph,
+        dirty: Option<&BitSet>,
+        cache: &mut SubstrateCache,
+        _: &(),
+    ) -> Result<MatchOutput, GraphError> {
+        Ok(run_pattern_pass(query, data, dirty, cache))
+    }
+
+    fn oneshot(
+        &self,
+        pattern: &Pattern,
+        data: &Graph,
+        config: &MatchConfig,
+        _: &(),
+    ) -> Result<MatchOutput, GraphError> {
+        Ok(crate::strong::strong_simulation(pattern, data, config))
+    }
+
+    fn rows_mut<'o>(&self, output: &'o mut MatchOutput) -> &'o mut Vec<PerfectSubgraph> {
+        &mut output.subgraphs
+    }
+
+    fn refresh(&self, output: &mut MatchOutput, nodes: usize) {
+        output.stats.perfect_subgraphs = output.subgraphs.len();
+        // A pass over a dirty-region extraction considered only the region's balls.
+        output.stats.balls_considered = nodes;
+    }
+
+    /// When a delta invalidates nearly every ball, region extraction and splicing cost
+    /// more than the unrestricted pass they would orchestrate.
+    fn bails(&self, dirty: usize, nodes: usize) -> bool {
+        dirty > (DIRTY_BAIL_FRACTION * nodes as f64) as usize
+    }
+}
+
 /// One registered standing query: its pattern, configuration, maintained
 /// [`PatternState`] and cached output — everything but the shared substrate.
-struct Session {
+struct Session<E: Executor> {
     pattern: Pattern,
-    config: MatchConfig,
+    config: E::Config,
     signature: BTreeSet<Label>,
     state: PatternState,
     /// Pre-deduplication rows (ascending ball center, data-graph ids); present exactly
     /// when the configuration deduplicates, because deduplication is a cross-row
-    /// operation that must be re-applied over every splice. Otherwise
-    /// `output.subgraphs` itself is the row cache and splices happen in place.
+    /// operation that must be re-applied over every splice. Otherwise the output's rows
+    /// are the row cache and splices happen in place.
     dedup_rows: Option<Vec<PerfectSubgraph>>,
-    output: MatchOutput,
+    output: E::Output,
     last_update: UpdateStats,
+}
+
+impl<E: Executor> Session<E> {
+    /// Splices a pass's `fresh` rows into the cached ones at the `dirty` centers — or
+    /// replaces them, after an unrestricted pass — and refreshes the output around them.
+    /// The output already holds the cached rows.
+    fn splice(
+        &mut self,
+        exec: &E,
+        fresh: Vec<PerfectSubgraph>,
+        dirty: Option<&BitSet>,
+        nodes: usize,
+    ) {
+        let rows = match &mut self.dedup_rows {
+            Some(rows) => rows,
+            None => exec.rows_mut(&mut self.output),
+        };
+        match dirty {
+            Some(dirty) => splice_rows(rows, dirty, fresh),
+            None => *rows = fresh,
+        }
+        if let Some(rows) = &self.dedup_rows {
+            *exec.rows_mut(&mut self.output) = deduped_copy(rows);
+        }
+        exec.refresh(&mut self.output, nodes);
+    }
 }
 
 /// Per-query slice of a [`ServiceUpdate`].
@@ -262,101 +422,108 @@ pub struct ServiceUpdate {
     pub sharing: SharingStats,
 }
 
-/// A registry of standing queries over one shared, epoch-versioned data graph.
+/// A registry of standing queries over one shared, epoch-versioned data graph, served
+/// by the executor `E`.
 ///
 /// See the [module docs](self) for the sharing model. The contract: after every
 /// [`QueryService::apply`], each registered query's [`QueryService::output`] is
 /// bit-identical — rows and stats — to a service holding that query alone, constructed
 /// on the same initial graph and fed the same deltas.
-pub struct QueryService {
+pub struct QueryService<E: Executor = Local> {
     substrate: VersionedGraph,
-    sessions: Vec<Option<Session>>,
+    sessions: Vec<Option<Session<E>>>,
+    executor: E,
 }
 
 impl QueryService {
-    /// A service over `data` with no registered queries.
+    /// A service over `data` with no registered queries, on the [`Local`] executor.
     pub fn new(data: Graph) -> Self {
+        QueryService::with_executor(data, Local)
+    }
+
+    /// Registers a standing query and runs its initial match over the current graph
+    /// (see [`QueryService::try_register`]; the local executor cannot fail).
+    pub fn register(&mut self, pattern: &Pattern, config: MatchConfig) -> QueryId {
+        self.try_register(pattern, config)
+            .expect("local passes do not fail")
+    }
+}
+
+impl<E: Executor> QueryService<E> {
+    /// A service over `data` with no registered queries, on `executor`.
+    pub fn with_executor(data: Graph, executor: E) -> Self {
         QueryService {
             substrate: VersionedGraph::new(data),
             sessions: Vec::new(),
+            executor,
         }
     }
 
     /// Registers a standing query and runs its initial match over the current graph.
+    /// Fails when the executor rejects the configuration.
     ///
-    /// `config.update_plan` is ignored: the service *is* the incremental plan (the
-    /// recompute oracle exists as N independent sessions, which is exactly what the
-    /// differential suite runs). If an already-registered query has the same pattern
-    /// and shape-relevant configuration, its maintained state is cloned instead of
-    /// recomputing the global fixpoint — bit-identical by purity, cheaper by one
-    /// fixpoint and one `Gm` extraction.
-    pub fn register(&mut self, pattern: &Pattern, config: MatchConfig) -> QueryId {
+    /// The update plan of the executor's [`MatchConfig`] is ignored: the service *is* the
+    /// incremental plan (the recompute oracle exists as N independent sessions, which
+    /// is exactly what the differential suite runs). If an already-registered query has
+    /// the same pattern and shape-relevant configuration, its maintained state is
+    /// cloned instead of recomputing the global fixpoint — bit-identical by purity,
+    /// cheaper by one fixpoint and one `Gm` extraction.
+    pub fn try_register(
+        &mut self,
+        pattern: &Pattern,
+        config: E::Config,
+    ) -> Result<QueryId, E::Error> {
         let data = self.substrate.published();
-        let state = self.reusable_state(pattern, &config).unwrap_or_else(|| {
+        let shape = self.executor.match_config(&config);
+        let state = self.reusable_state(pattern, &shape).unwrap_or_else(|| {
             PatternState::new(
                 pattern,
                 data,
-                config.minimize_query,
-                config.radius_override,
-                config.dual_filter,
-                config.ball_substrate,
-                config.refine_strategy,
+                shape.minimize_query,
+                shape.radius_override,
+                shape.dual_filter,
+                shape.ball_substrate,
+                shape.refine_strategy,
             )
         });
-        let run_cfg = MatchConfig {
-            deduplicate: false,
-            update_plan: UpdatePlan::Incremental,
-            ..config
+        let query = QueryRef {
+            pattern,
+            config: &config,
+            state: &state,
         };
-        // One unrestricted prepared pass over the current graph (copy-free off the base
-        // CSR while the overlay is flat).
-        let flat;
-        let graph = if data.is_flat() {
-            data.base()
-        } else {
-            flat = data.to_graph();
-            &flat
-        };
-        let out = match_with_prepared(pattern, graph, &run_cfg, state.prepared(), None);
-        let (dedup_rows, subgraphs) = if config.deduplicate {
-            let subgraphs = deduped_copy(&out.subgraphs);
-            (Some(out.subgraphs), subgraphs)
-        } else {
-            (None, out.subgraphs)
-        };
-        let output = MatchOutput {
-            stats: refreshed_pattern_stats(out.stats, &state, data.node_count(), subgraphs.len()),
-            subgraphs,
-        };
-        let signature = pattern
-            .nodes()
-            .map(|u| pattern.label(u))
-            .collect::<BTreeSet<Label>>();
+        let mut cache = SubstrateCache::new();
+        let mut output = self
+            .executor
+            .run(query, data, None, &mut cache, &E::Faults::default())?;
+        let fresh = std::mem::take(self.executor.rows_mut(&mut output));
         let n = data.node_count();
-        self.sessions.push(Some(Session {
+        let mut session = Session {
             pattern: pattern.clone(),
             config,
-            signature,
+            signature: pattern.nodes().map(|u| pattern.label(u)).collect(),
             state,
-            dedup_rows,
+            dedup_rows: shape.deduplicate.then(Vec::new),
             output,
             last_update: UpdateStats::full_pass(n),
-        }));
-        QueryId(self.sessions.len() - 1)
+        };
+        session.splice(&self.executor, fresh, None, n);
+        self.sessions.push(Some(session));
+        Ok(QueryId(self.sessions.len() - 1))
     }
 
     /// A clone of an already-registered query's maintained state, when one with the
     /// same pattern and the same shape-relevant configuration exists. The maintained
     /// state is a pure function of those inputs over the current graph, so the clone
     /// is bit-identical to recomputing.
-    fn reusable_state(&self, pattern: &Pattern, config: &MatchConfig) -> Option<PatternState> {
+    fn reusable_state(&self, pattern: &Pattern, shape: &MatchConfig) -> Option<PatternState> {
         self.sessions.iter().flatten().find_map(|s| {
+            let other = self.executor.match_config(&s.config);
             let same_shape = s.pattern == *pattern
-                && s.config.minimize_query == config.minimize_query
-                && s.config.radius_override == config.radius_override
-                && s.config.dual_filter == config.dual_filter
-                && s.config.ball_substrate == config.ball_substrate
-                && s.config.refine_strategy == config.refine_strategy;
+                && other.minimize_query == shape.minimize_query
+                && other.radius_override == shape.radius_override
+                && other.dual_filter == shape.dual_filter
+                && other.ball_substrate == shape.ball_substrate
+                && other.refine_strategy == shape.refine_strategy;
             same_shape.then(|| s.state.clone())
         })
     }
@@ -392,8 +559,10 @@ impl QueryService {
         self.len() == 0
     }
 
-    /// The cached match result of one query over the current graph.
-    pub fn output(&self, id: QueryId) -> Option<&MatchOutput> {
+    /// The cached match result of one query over the current graph. On an executor
+    /// that can lose rows, [`Executor::lost_centers`] names the ones it is missing; the
+    /// next apply heals them.
+    pub fn output(&self, id: QueryId) -> Option<&E::Output> {
         self.session(id).map(|s| &s.output)
     }
 
@@ -409,7 +578,7 @@ impl QueryService {
     }
 
     /// The configuration a query was registered with.
-    pub fn config(&self, id: QueryId) -> Option<&MatchConfig> {
+    pub fn config(&self, id: QueryId) -> Option<&E::Config> {
         self.session(id).map(|s| &s.config)
     }
 
@@ -475,50 +644,83 @@ impl QueryService {
     /// one substrate cache across the per-query restricted passes. Fails (leaving the
     /// substrate and every query untouched) when the delta does not validate against
     /// the current graph.
-    pub fn apply(&mut self, delta: &GraphDelta) -> Result<ServiceUpdate, GraphError> {
+    pub fn apply(&mut self, delta: &GraphDelta) -> Result<ServiceUpdate, E::Error> {
+        self.apply_batch_with_faults(std::slice::from_ref(delta), &E::Faults::default())
+    }
+
+    /// [`QueryService::apply`] with every query's pass under the scripted `faults`
+    /// (each query's pass restarts the script: queries are independent supervision
+    /// scopes). Fails before any state moves when some query cannot run under them.
+    pub fn apply_with_faults(
+        &mut self,
+        delta: &GraphDelta,
+        faults: &E::Faults,
+    ) -> Result<ServiceUpdate, E::Error> {
+        self.apply_batch_with_faults(std::slice::from_ref(delta), faults)
+    }
+
+    /// Applies a batch of deltas as **one** maintenance step: the stream is folded into
+    /// its net delta ([`GraphDelta::then`]) and fed through a single apply — so sweeps,
+    /// fixpoint maintenance and the restricted passes are paid once per batch for
+    /// *every* registered query. A mid-stream validation error leaves the substrate and
+    /// every query untouched.
+    pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<ServiceUpdate, E::Error> {
+        self.apply_batch_with_faults(deltas, &E::Faults::default())
+    }
+
+    /// The one apply path: the executor's fault gate, the batch fold, the shared
+    /// substrate step, then per query the pattern-state advance, the executor's pass
+    /// over the dirty centers (plus the ones an earlier pass lost) and the splice.
+    pub fn apply_batch_with_faults(
+        &mut self,
+        deltas: &[GraphDelta],
+        faults: &E::Faults,
+    ) -> Result<ServiceUpdate, E::Error> {
+        for sess in self.sessions.iter().flatten() {
+            self.executor.admit(&sess.config, faults)?;
+        }
+        let Some(delta) = fold_batch(self.substrate.published(), deltas)? else {
+            return Ok(ServiceUpdate {
+                epoch: self.substrate.epoch(),
+                compacted: false,
+                queries: Vec::new(),
+                sharing: SharingStats {
+                    sessions: self.len(),
+                    ..SharingStats::default()
+                },
+            });
+        };
         let step = SubstrateStep::run(
             &mut self.substrate,
-            delta,
+            &delta,
             self.sessions.iter().flatten().map(|s| &s.state),
         )?;
         let data = self.substrate.published();
         let n = data.node_count();
+        let exec = &self.executor;
         let mut cache = SubstrateCache::new();
         let mut queries = Vec::new();
         for (i, slot) in self.sessions.iter_mut().enumerate() {
             let Some(sess) = slot else { continue };
             let (pre, post) = step.edge_dirty(&sess.state);
-            let effect = sess.state.advance_applied(data, delta, pre, post);
-            let run_cfg = MatchConfig {
-                deduplicate: false,
-                ..sess.config
-            };
-            // Adaptive dirty-fraction bail: when the delta invalidates nearly every ball,
-            // region extraction + splicing costs more than the unrestricted pass it
-            // would orchestrate, so run from scratch and replace the rows wholesale.
-            let bailed = effect.dirty.len() > (DIRTY_BAIL_FRACTION * n as f64) as usize;
+            let mut effect = sess.state.advance_applied(data, &delta, pre, post);
+            // Lost-center healing: centers an earlier pass lost have no trustworthy
+            // cached rows, so they run again and their stale rows are dropped.
+            for &center in exec.lost_centers(&sess.output) {
+                effect.dirty.insert(center.index());
+            }
+            let bailed = exec.bails(effect.dirty.len(), n);
             let dirty = (!bailed).then_some(&effect.dirty);
-            let out = run_pattern_pass(
-                &sess.pattern,
-                data,
-                &sess.state,
-                &run_cfg,
-                dirty,
-                &mut cache,
-            );
-            let rows = match &mut sess.dedup_rows {
-                Some(rows) => rows,
-                None => &mut sess.output.subgraphs,
+            let query = QueryRef {
+                pattern: &sess.pattern,
+                config: &sess.config,
+                state: &sess.state,
             };
-            match dirty {
-                Some(dirty) => splice_rows(rows, dirty, out.subgraphs),
-                None => *rows = out.subgraphs,
-            }
-            if let Some(rows) = &sess.dedup_rows {
-                sess.output.subgraphs = deduped_copy(rows);
-            }
-            sess.output.stats =
-                refreshed_pattern_stats(out.stats, &sess.state, n, sess.output.subgraphs.len());
+            let mut output = exec.run(query, data, dirty, &mut cache, faults)?;
+            let cached = std::mem::take(exec.rows_mut(&mut sess.output));
+            let fresh = std::mem::replace(exec.rows_mut(&mut output), cached);
+            sess.output = output;
+            sess.splice(exec, fresh, dirty, n);
             sess.last_update = UpdateStats {
                 dirty_balls: if bailed { n } else { effect.dirty.len() },
                 clean_balls: if bailed { 0 } else { n - effect.dirty.len() },
@@ -537,44 +739,24 @@ impl QueryService {
         Ok(ServiceUpdate {
             epoch: self.substrate.epoch(),
             compacted: step.compacted,
+            sharing: step.sharing(queries.len(), &cache),
             queries,
-            sharing: step.sharing(self.len(), &cache),
         })
     }
 
-    /// Applies a batch of deltas as **one** maintenance step: the stream is folded into
-    /// its net delta ([`fold_batch`]) and fed through a single [`QueryService::apply`] —
-    /// so sweeps, fixpoint maintenance and the restricted passes are paid once per batch
-    /// for *every* registered query. A mid-stream validation error leaves the substrate
-    /// and every query untouched.
-    pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<ServiceUpdate, GraphError> {
-        match fold_batch(self.substrate.published(), deltas)? {
-            Some(net) => self.apply(&net),
-            None => Ok(ServiceUpdate {
-                epoch: self.substrate.epoch(),
-                compacted: false,
-                queries: Vec::new(),
-                sharing: SharingStats {
-                    sessions: self.len(),
-                    ..SharingStats::default()
-                },
-            }),
-        }
-    }
-
-    fn session(&self, id: QueryId) -> Option<&Session> {
+    fn session(&self, id: QueryId) -> Option<&Session<E>> {
         self.sessions.get(id.0).and_then(|s| s.as_ref())
     }
 }
 
-/// The substrate half of one service apply, written once for [`QueryService`] and the
-/// distributed service: the delta validated and landed on the shared [`VersionedGraph`]
+/// The substrate half of one [`QueryService`] apply, whatever the executor: the delta
+/// validated and landed on the shared [`VersionedGraph`]
 /// exactly once, with the data-edge ball sweeps run once per distinct radius. Deleted
 /// edges localise in the pre-update graph and inserted edges in the post-update one —
 /// per edge, exactly the centers holding both endpoints within `dQ` are dirtied (the
 /// balls that contain the edge). Patterns on the `Gm` substrate sweep their own cached
 /// extractions inside [`PatternState::advance_applied`] instead.
-pub struct SubstrateStep {
+struct SubstrateStep {
     /// `(pre, post)` sweeps per distinct radius among the patterns that sweep data edges.
     sweeps: BTreeMap<usize, (BitSet, BitSet)>,
     /// What patterns that sweep their own extractions receive.
@@ -582,7 +764,7 @@ pub struct SubstrateStep {
     /// Patterns that consume a shared sweep.
     consumers: usize,
     /// The overlay compacted back to a flat base CSR during this apply.
-    pub compacted: bool,
+    compacted: bool,
 }
 
 impl SubstrateStep {
@@ -590,7 +772,7 @@ impl SubstrateStep {
     /// stages and publishes it, and sweeps its inserted edges on the new version — at
     /// every radius some pattern of `states` sweeps data edges at. Fails, leaving the
     /// substrate untouched, when the delta does not validate.
-    pub fn run<'a>(
+    fn run<'a>(
         substrate: &mut VersionedGraph,
         delta: &GraphDelta,
         states: impl IntoIterator<Item = &'a PatternState>,
@@ -628,7 +810,7 @@ impl SubstrateStep {
 
     /// The `(pre, post)` edge sweeps [`PatternState::advance_applied`] takes for `state`
     /// (empty sets when it sweeps its own `Gm` extractions).
-    pub fn edge_dirty(&self, state: &PatternState) -> (&BitSet, &BitSet) {
+    fn edge_dirty(&self, state: &PatternState) -> (&BitSet, &BitSet) {
         match self.sweeps.get(&state.radius) {
             Some((pre, post)) if state.sweeps_data_edges() => (pre, post),
             _ => (&self.empty, &self.empty),
@@ -637,7 +819,7 @@ impl SubstrateStep {
 
     /// The apply's sharing accounting over `sessions` live queries, with the substrate
     /// counters of the per-query passes' shared `cache`.
-    pub fn sharing(&self, sessions: usize, cache: &SubstrateCache) -> SharingStats {
+    fn sharing(&self, sessions: usize, cache: &SubstrateCache) -> SharingStats {
         let (substrate_reuses, substrate_builds) = cache.counters();
         SharingStats {
             sessions,
@@ -649,12 +831,12 @@ impl SubstrateStep {
     }
 }
 
-/// The batch fold both services share: checks each delta of the stream in order on a
+/// The batch fold: checks each delta of the stream in order on a
 /// clone of the published overlay (`O(patch-slots)` — the base CSR is shared behind an
 /// `Arc`), so a mid-stream error leaves everything untouched, and composes the stream
 /// into its net delta ([`GraphDelta::then`]). `None` for an empty stream; a single delta
 /// comes back as is, for its apply to validate.
-pub fn fold_batch<'d>(
+fn fold_batch<'d>(
     published: &OverlayGraph,
     deltas: &'d [GraphDelta],
 ) -> Result<Option<Cow<'d, GraphDelta>>, GraphError> {
@@ -672,7 +854,7 @@ pub fn fold_batch<'d>(
     Ok(Some(Cow::Owned(net)))
 }
 
-/// Dirty fraction above which [`QueryService::apply`] abandons the restricted
+/// Dirty fraction above which the [`Local`] executor abandons the restricted
 /// pass. Chosen well above the densest committed bench row (`update-overlap-chain-5pct`
 /// invalidates ~0.64 of the balls and still wins incrementally) so the bail only fires
 /// on genuinely global deltas.
@@ -720,15 +902,18 @@ impl SubstrateCache {
         (self.reuses, self.builds)
     }
 
-    /// The flat materialisation of `data`, built on first request.
-    pub fn flat(&mut self, data: &OverlayGraph) -> &Graph {
-        if self.flat.is_none() {
-            self.builds += 1;
-            self.flat = Some(data.to_graph());
-        } else {
-            self.reuses += 1;
+    /// The flat materialisation of `data`, built on first request — or its base CSR,
+    /// copy-free, while the overlay is flat.
+    pub fn flat<'a>(&'a mut self, data: &'a OverlayGraph) -> &'a Graph {
+        if data.is_flat() {
+            return data.base();
         }
-        self.flat.as_ref().expect("just ensured")
+        if self.flat.is_some() {
+            self.reuses += 1;
+        } else {
+            self.builds += 1;
+        }
+        self.flat.get_or_insert_with(|| data.to_graph())
     }
 
     /// Ensures the region entry for `(radius, dirty)` exists and returns its index.
@@ -796,41 +981,44 @@ impl SubstrateCache {
 ///   oracle substrate) materialises the overlay once — status-quo cost, oracle-only
 ///   shapes.
 fn run_pattern_pass(
-    pattern: &Pattern,
+    query: QueryRef<'_, MatchConfig>,
     data: &OverlayGraph,
-    ps: &PatternState,
-    run_cfg: &MatchConfig,
     dirty: Option<&BitSet>,
     cache: &mut SubstrateCache,
 ) -> MatchOutput {
+    let QueryRef { pattern, state, .. } = query;
+    // Deduplication is re-applied over the spliced rows.
+    let run_cfg = MatchConfig {
+        deduplicate: false,
+        ..*query.config
+    };
+    let run = |data: DataRef<'_>, dirty: Option<&BitSet>| {
+        match_impl(MatchPlan::for_state(pattern, data, &run_cfg, state, dirty))
+    };
     let n = data.node_count();
-    if let Some(p) = ps.prepared() {
+    if let Some(p) = state.prepared() {
         if p.gm.is_some() || !p.relation.is_total() {
-            return match_with_prepared_counted(pattern, n, run_cfg, p, dirty);
+            return run(DataRef::CountOnly(n), dirty);
         }
-        let flat = cache.flat(data);
-        return match_with_prepared(pattern, flat, run_cfg, Some(p), dirty);
+        return run(DataRef::Flat(cache.flat(data)), dirty);
     }
     let Some(dirty) = dirty else {
-        let flat = cache.flat(data);
-        return match_with_prepared(pattern, flat, run_cfg, None, None);
+        return run(DataRef::Flat(cache.flat(data)), None);
     };
     // The region only grows from the dirty set; past half the graph the
     // extraction loses to the bulk merge, so skip even the region sweep.
     if dirty.len() * 2 > n {
-        let flat = cache.flat(data);
-        return match_with_prepared(pattern, flat, run_cfg, None, Some(dirty));
+        return run(DataRef::Flat(cache.flat(data)), Some(dirty));
     }
-    let entry = cache.ensure_region(data, ps.radius, dirty);
+    let entry = cache.ensure_region(data, state.radius, dirty);
     if cache.regions[entry].extraction.is_none() {
-        let flat = cache.flat(data);
-        return match_with_prepared(pattern, flat, run_cfg, None, Some(dirty));
+        return run(DataRef::Flat(cache.flat(data)), Some(dirty));
     }
     let (sub, dirty_inner) = cache.regions[entry]
         .extraction
         .as_ref()
         .expect("checked above");
-    let out = match_with_prepared(pattern, sub.graph(), run_cfg, None, Some(dirty_inner));
+    let out = run(DataRef::Flat(sub.graph()), Some(dirty_inner));
     // The extraction's id map is monotone, so translated rows keep their
     // ascending-center order and splice directly.
     MatchOutput {
@@ -853,24 +1041,6 @@ fn deduped_copy(rows: &[PerfectSubgraph]) -> Vec<PerfectSubgraph> {
         .into_iter()
         .map(|i| rows[i].clone())
         .collect()
-}
-
-/// Describes a query's current state in the stats carried by its cached output (work
-/// counters keep describing the most recent — restricted — run).
-fn refreshed_pattern_stats(
-    mut stats: MatchStats,
-    ps: &PatternState,
-    node_count: usize,
-    subgraph_count: usize,
-) -> MatchStats {
-    stats.perfect_subgraphs = subgraph_count;
-    stats.radius = ps.radius;
-    stats.balls_considered = node_count;
-    if let Some(gm) = &ps.gm_cache {
-        stats.gm_nodes = gm.subgraph().node_count();
-        stats.gm_edges = gm.subgraph().edge_count();
-    }
-    stats
 }
 
 #[cfg(test)]

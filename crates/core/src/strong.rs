@@ -45,7 +45,7 @@ use crate::ball::BallSubstrate;
 use crate::dual::{dual_simulation_with, refine_dual_with};
 use crate::dual_filter::refine_projected;
 use crate::gm::{match_gm_ball, GmSubstrate};
-use crate::incremental::{PreparedGlobal, UpdatePlan};
+use crate::incremental::{PatternState, PreparedGlobal, UpdatePlan};
 use crate::match_graph::{extract_max_perfect_subgraph, PerfectSubgraph};
 use crate::minimize::minimize_pattern;
 use crate::parallel::{
@@ -433,7 +433,7 @@ pub type BallResult = (Option<PerfectSubgraph>, usize, usize, RepetitionOutcome)
 pub struct MatchPlan<'a> {
     pattern: Cow<'a, Pattern>,
     /// Original pattern nodes per minimised class; empty without `minimize_query`.
-    class_members: Vec<Vec<NodeId>>,
+    class_members: Cow<'a, [Vec<NodeId>]>,
     config: MatchConfig,
     data: DataRef<'a>,
     /// The global relation, kept only on the full-graph path (`Gm` carries its own).
@@ -454,30 +454,59 @@ impl<'a> MatchPlan<'a> {
         prepared: Option<PreparedGlobal<'a>>,
         dirty: Option<&BitSet>,
     ) -> Result<Self, PlanError> {
-        let n = data.node_count();
-        let mut stats = MatchStats {
-            balls_considered: n,
-            ..MatchStats::default()
-        };
         // Optimisation 1: query minimization. The ball radius stays the *original*
         // diameter (Lemma 3); `match_impl` translates rows back to the original pattern.
-        let mut class_members = Vec::new();
-        let (pattern, radius) = if config.minimize_query {
+        let query = if config.minimize_query {
             let minimized = minimize_pattern(pattern);
-            stats.pattern_sizes = Some((minimized.original_size, minimized.pattern.size()));
-            class_members = vec![Vec::new(); minimized.pattern.node_count()];
-            for (original_index, class) in minimized.class_of.iter().enumerate() {
-                class_members[class.index()].push(NodeId::from_index(original_index));
-            }
+            let class_members = Cow::Owned(minimized.class_members());
             let radius = config
                 .radius_override
                 .unwrap_or(minimized.original_diameter);
-            (Cow::Owned(minimized.pattern), radius)
+            (Cow::Owned(minimized.pattern), class_members, radius)
         } else {
             let radius = config.radius_override.unwrap_or(pattern.diameter());
-            (Cow::Borrowed(pattern), radius)
+            (Cow::Borrowed(pattern), Cow::Borrowed(&[][..]), radius)
         };
-        stats.radius = radius;
+        Self::build(pattern.size(), query, data, config, prepared, dirty)
+    }
+
+    /// [`MatchPlan::new`] for a maintained query: the effective pattern, its class map,
+    /// the radius and the prepared global state all come from `state`, so the pattern
+    /// is minimised once, when the state is built, instead of on every pass.
+    pub fn for_state(
+        pattern: &Pattern,
+        data: DataRef<'a>,
+        config: &MatchConfig,
+        state: &'a PatternState,
+        dirty: Option<&BitSet>,
+    ) -> Result<Self, PlanError> {
+        let query = (
+            Cow::Borrowed(&state.effective),
+            Cow::Borrowed(&state.class_members[..]),
+            state.radius,
+        );
+        Self::build(pattern.size(), query, data, config, state.prepared(), dirty)
+    }
+
+    /// The preamble after minimisation: `query` is the effective pattern, its class map
+    /// and the ball radius, `original_size` the size of the caller's pattern.
+    fn build(
+        original_size: usize,
+        (pattern, class_members, radius): (Cow<'a, Pattern>, Cow<'a, [Vec<NodeId>]>, usize),
+        data: DataRef<'a>,
+        config: &MatchConfig,
+        prepared: Option<PreparedGlobal<'a>>,
+        dirty: Option<&BitSet>,
+    ) -> Result<Self, PlanError> {
+        let n = data.node_count();
+        let stats = MatchStats {
+            balls_considered: n,
+            pattern_sizes: config
+                .minimize_query
+                .then(|| (original_size, pattern.size())),
+            radius,
+            ..MatchStats::default()
+        };
         let mut plan = MatchPlan {
             pattern,
             class_members,
@@ -671,7 +700,9 @@ pub fn strong_simulation(pattern: &Pattern, data: &Graph, config: &MatchConfig) 
 ///   produced here are bit-identical to the same centers' rows in an unrestricted pass —
 ///   which is what lets the incremental matcher splice them into a cached result.
 ///
-/// One-shot callers pass `None` for both and get exactly [`strong_simulation`].
+/// One-shot callers pass `None` for both and get exactly [`strong_simulation`]. The
+/// pattern is minimised here on every call; the query service plans a maintained query
+/// from its state instead ([`MatchPlan::for_state`]), minimised once.
 pub fn match_with_prepared(
     pattern: &Pattern,
     data: &Graph,
@@ -679,13 +710,19 @@ pub fn match_with_prepared(
     prepared: Option<PreparedGlobal<'_>>,
     dirty: Option<&BitSet>,
 ) -> MatchOutput {
-    match_impl(pattern, DataRef::Flat(data), config, prepared, dirty)
+    match_impl(MatchPlan::new(
+        pattern,
+        DataRef::Flat(data),
+        config,
+        prepared,
+        dirty,
+    ))
 }
 
 /// [`match_with_prepared`] without the flat data graph: the prepared state plus the data
-/// node count are everything the match-graph-substrate pipeline reads. This is the entry
-/// point the incremental driver uses when its serving state is an overlay — the whole run
-/// stays inside the cached `Gm` extraction, so no flat CSR ever needs to exist.
+/// node count are everything the match-graph-substrate pipeline reads, so a caller whose
+/// serving state is an overlay needs no flat CSR — the whole run stays inside the cached
+/// `Gm` extraction.
 ///
 /// # Panics
 /// Panics when the configuration would traverse raw data adjacency after all: `dual_filter`
@@ -700,24 +737,22 @@ pub fn match_with_prepared_counted(
     prepared: PreparedGlobal<'_>,
     dirty: Option<&BitSet>,
 ) -> MatchOutput {
-    match_impl(
+    match_impl(MatchPlan::new(
         pattern,
         DataRef::CountOnly(data_node_count),
         config,
         Some(prepared),
         dirty,
-    )
+    ))
 }
 
-fn match_impl(
-    pattern: &Pattern,
-    data: DataRef<'_>,
-    config: &MatchConfig,
-    prepared: Option<PreparedGlobal<'_>>,
-    dirty: Option<&BitSet>,
-) -> MatchOutput {
-    let plan =
-        MatchPlan::new(pattern, data, config, prepared, dirty).unwrap_or_else(|e| panic!("{e}"));
+/// Runs a plan's fan-out, class expansion, stats and dedup.
+///
+/// # Panics
+/// Panics when the plan could not be built.
+pub(crate) fn match_impl(plan: Result<MatchPlan<'_>, PlanError>) -> MatchOutput {
+    let plan = plan.unwrap_or_else(|e| panic!("{e}"));
+    let config = &plan.config;
     let mut stats = plan.stats.clone();
     let centers = &plan.centers;
 

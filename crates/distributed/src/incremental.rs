@@ -1,70 +1,31 @@
 //! Incremental distributed matching: a private distributed session over a mutating
-//! graph.
-//!
-//! [`IncrementalDistributed`] owns no apply of its own: its incremental plan is a
-//! [`DistributedQueryService`] holding this one query, which maintains the global
-//! dual-simulation fixpoint and the `Gm` extraction per [`GraphDelta`], computes the
-//! dirty-center set (the dQ-bounded locality sweep of Prop. 3) through the core
-//! service's substrate step, routes each dirty center to the site owning it and splices
-//! the returned rows into the cached result. [`TrafficStats::dirty_balls`] /
-//! [`TrafficStats::clean_balls`] account for the split and always sum to `|V|`.
-//!
-//! [`UpdatePlan::Recompute`] (on [`DistributedConfig::update_plan`]) is the oracle: it
-//! re-runs the full one-shot [`distributed_strong_simulation`] per delta. The
-//! differential suite holds both plans bit-identical along random delta streams.
+//! graph — the core one-query session ([`IncrementalMatcher`]) on the [`Partitioned`]
+//! executor. Its incremental plan is a one-query [`crate::DistributedQueryService`];
+//! its recompute oracle re-runs [`crate::distributed_strong_simulation`] per delta.
 //!
 //! # Surviving mid-delta site loss
 //!
 //! The maintained state (fixpoint, `Gm`, overlay) is advanced *before* the fan-out, so
 //! a site failing during an apply can only degrade that apply's **rows**, never the
-//! state — [`IncrementalDistributed::apply_with_faults`] returns a degraded
-//! [`DistributedOutput`] whose [`DistributedOutput::lost_centers`] records exactly
-//! which cached rows are stale/missing. The *next* apply heals: previously-lost centers
-//! are unioned into its dirty set, re-routed to live sites, and their fresh rows
-//! spliced in — a fault-free apply after a degraded one converges the session back to
-//! the bit-exact fault-free result.
-//!
-//! [`TrafficStats::dirty_balls`]: crate::runtime::TrafficStats::dirty_balls
-//! [`TrafficStats::clean_balls`]: crate::runtime::TrafficStats::clean_balls
+//! state: [`DistributedOutput::lost_centers`] records exactly which cached rows are
+//! missing. The *next* apply re-routes them to live sites and splices their fresh rows
+//! in, converging the session back to the bit-exact fault-free result.
 
 use crate::error::DistError;
 use crate::fault::FaultPlan;
-use crate::runtime::{
-    distributed_strong_simulation, distributed_with_faults, DistributedConfig, DistributedOutput,
-};
-use crate::service::DistributedQueryService;
-use ssim_core::incremental::UpdatePlan;
-use ssim_core::service::QueryId;
+use crate::runtime::{DistributedConfig, DistributedOutput};
+use crate::service::Partitioned;
+use ssim_core::incremental::IncrementalMatcher;
 use ssim_graph::{Graph, GraphDelta, OverlayGraph, Pattern};
-
-/// Per-plan state: the incremental plan is a one-query [`DistributedQueryService`], the
-/// recompute oracle keeps a flat graph and its own output.
-enum PlanState {
-    Incremental {
-        service: Box<DistributedQueryService>,
-        id: QueryId,
-    },
-    Recompute(Box<Recompute>),
-}
-
-/// The recompute oracle: a flat graph, rebuilt per delta, and a full one-shot run.
-struct Recompute {
-    pattern: Pattern,
-    config: DistributedConfig,
-    data: Graph,
-    output: DistributedOutput,
-}
 
 /// A distributed strong-simulation session over a mutating data graph.
 ///
 /// Construct once, then feed [`GraphDelta`]s through
 /// [`IncrementalDistributed::apply`]; the cached [`DistributedOutput`] after every apply
 /// carries subgraphs bit-identical to a one-shot
-/// [`distributed_strong_simulation`] on the updated graph (whose traffic counters, by
-/// contrast, describe only the update's own work).
-pub struct IncrementalDistributed {
-    plan: PlanState,
-}
+/// [`crate::distributed_strong_simulation`] on the updated graph (whose traffic counters,
+/// by contrast, describe only the update's own work).
+pub struct IncrementalDistributed(IncrementalMatcher<Partitioned>);
 
 impl IncrementalDistributed {
     /// Runs the initial distributed match over `data` and caches the coordinator state.
@@ -75,38 +36,18 @@ impl IncrementalDistributed {
         data: Graph,
         config: DistributedConfig,
     ) -> Result<Self, DistError> {
-        let plan = match config.update_plan {
-            UpdatePlan::Recompute => PlanState::Recompute(Box::new(Recompute {
-                output: distributed_strong_simulation(pattern, &data, &config)?,
-                pattern: pattern.clone(),
-                config,
-                data,
-            })),
-            UpdatePlan::Incremental => {
-                let mut service = Box::new(DistributedQueryService::new(data));
-                let id = service.register(pattern, config)?;
-                PlanState::Incremental { service, id }
-            }
-        };
-        Ok(IncrementalDistributed { plan })
+        IncrementalMatcher::with_executor(pattern, data, config, Partitioned).map(Self)
     }
 
     /// The current data graph (after every applied delta), materialised flat — an
-    /// `O(|V|+|E|)` merge on the incremental plan, meant for oracles and tests. Use
-    /// [`IncrementalDistributed::overlay`] to inspect the serving substrate directly.
+    /// `O(|V|+|E|)` merge on the incremental plan, meant for oracles and tests.
     pub fn data(&self) -> Graph {
-        match &self.plan {
-            PlanState::Incremental { service, .. } => service.data(),
-            PlanState::Recompute(oracle) => oracle.data.clone(),
-        }
+        self.0.data()
     }
 
     /// The versioned serving substrate; `None` on the recompute oracle plan.
     pub fn overlay(&self) -> Option<&OverlayGraph> {
-        match &self.plan {
-            PlanState::Incremental { service, .. } => Some(service.published()),
-            PlanState::Recompute(_) => None,
-        }
+        self.0.overlay()
     }
 
     /// The distributed match result over the current graph. On the incremental plan the
@@ -114,77 +55,35 @@ impl IncrementalDistributed {
     /// shipping for those balls), not a full pass. After a degraded apply,
     /// [`DistributedOutput::lost_centers`] lists the rows this cache is missing.
     pub fn output(&self) -> &DistributedOutput {
-        match &self.plan {
-            PlanState::Incremental { service, id } => service
-                .output(*id)
-                .expect("the session's query stays registered"),
-            PlanState::Recompute(oracle) => &oracle.output,
-        }
+        self.0.output()
     }
 
     /// Applies one validated batch of edge updates: the coordinator maintains its
     /// state, routes the dirty centers to their owning sites and splices the returned
     /// rows. Fails (leaving the session untouched) when the delta does not validate.
     pub fn apply(&mut self, delta: &GraphDelta) -> Result<&DistributedOutput, DistError> {
-        self.apply_with(std::slice::from_ref(delta), None)
+        self.0.apply(delta)
     }
 
-    /// [`IncrementalDistributed::apply`] under a scripted [`FaultPlan`]: the apply's
-    /// fan-out runs under the supervision loop (the configuration must carry a
-    /// [`crate::fault::RecoveryPolicy`] for a non-empty plan), and chunks lost past the
-    /// budget degrade only this apply's rows — the maintained state stays exact, and the
-    /// next apply re-routes the lost centers ([lost-center healing](self)).
+    /// [`IncrementalDistributed::apply`] under a scripted [`FaultPlan`]: a non-empty plan
+    /// needs a [`crate::fault::RecoveryPolicy`] on the configuration, and chunks lost past
+    /// the budget degrade only this apply's rows — the maintained state stays exact, and
+    /// the next apply re-routes the lost centers ([lost-center healing](self)).
     pub fn apply_with_faults(
         &mut self,
         delta: &GraphDelta,
         faults: &FaultPlan,
     ) -> Result<&DistributedOutput, DistError> {
-        self.apply_with(std::slice::from_ref(delta), Some(faults))
+        self.0.apply_with_faults(delta, faults)
     }
 
-    /// Applies a batch of deltas as **one** maintenance step
-    /// ([`DistributedQueryService::apply_batch`]): the stream is folded into its net
-    /// delta ([`GraphDelta::then`]) and fed through a single apply — one dirty sweep,
-    /// one routed fan-out. The recompute oracle applies the stream sequentially and
-    /// re-runs one full pass on the final graph. A mid-stream validation error leaves
-    /// the session untouched.
+    /// Applies a batch of deltas as **one** maintenance step: the stream is folded into
+    /// its net delta and fed through a single apply — one dirty sweep, one routed
+    /// fan-out. The recompute oracle applies the stream sequentially and re-runs one
+    /// full pass on the final graph. A mid-stream validation error leaves the session
+    /// untouched.
     pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<&DistributedOutput, DistError> {
-        self.apply_with(deltas, None)
-    }
-
-    fn apply_with(
-        &mut self,
-        deltas: &[GraphDelta],
-        faults: Option<&FaultPlan>,
-    ) -> Result<&DistributedOutput, DistError> {
-        match &mut self.plan {
-            PlanState::Incremental { service, .. } => {
-                service.apply_batch_with(deltas, faults)?;
-            }
-            PlanState::Recompute(oracle) => {
-                if faults.is_some_and(|plan| !plan.is_empty()) && oracle.config.recovery.is_none() {
-                    return Err(DistError::FaultPlanNeedsRecovery);
-                }
-                if let [first, rest @ ..] = deltas {
-                    let mut data = oracle.data.apply_delta(first)?;
-                    for d in rest {
-                        data = data.apply_delta(d)?;
-                    }
-                    // The oracle recomputes every row per apply, so a previous degraded
-                    // apply heals here by construction.
-                    oracle.output = match faults {
-                        Some(plan) => {
-                            distributed_with_faults(&oracle.pattern, &data, &oracle.config, plan)?
-                        }
-                        None => {
-                            distributed_strong_simulation(&oracle.pattern, &data, &oracle.config)?
-                        }
-                    };
-                    oracle.data = data;
-                }
-            }
-        }
-        Ok(self.output())
+        self.0.apply_batch(deltas)
     }
 }
 
@@ -194,6 +93,7 @@ mod tests {
     use crate::fault::RecoveryPolicy;
     use crate::partition::PartitionStrategy;
     use ssim_core::ball::BallSubstrate;
+    use ssim_core::incremental::UpdatePlan;
     use ssim_datasets::patterns::extract_pattern;
     use ssim_datasets::synthetic::{synthetic, SyntheticConfig};
     use ssim_graph::NodeId;

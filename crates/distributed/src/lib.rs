@@ -38,4 +38,4 @@ pub use runtime::{
     distributed_strong_simulation, distributed_with_faults, DistributedConfig, DistributedOutput,
     TrafficStats,
 };
-pub use service::{DistServiceUpdate, DistributedQueryService};
+pub use service::{DistributedQueryService, Partitioned};

@@ -48,7 +48,7 @@ use crate::error::DistError;
 use crate::fault::{FaultAction, FaultPlan, RecoveryPolicy, RecoveryStats};
 use crate::partition::{GraphPartition, PartitionStrategy};
 use ssim_core::ball::BallSubstrate;
-use ssim_core::incremental::{PreparedGlobal, UpdatePlan};
+use ssim_core::incremental::{PatternState, UpdatePlan};
 use ssim_core::match_graph::PerfectSubgraph;
 use ssim_core::parallel::{
     chunk_plan, effective_workers, panic_message, par_workers, StealScheduler,
@@ -133,8 +133,9 @@ impl DistributedConfig {
     }
 
     /// The engine configuration the coordinator plans under and the sites evaluate
-    /// their balls with: this configuration's query-level switches on plain `Match` —
-    /// the pattern's own radius, worklist refinement and no connectivity pruning.
+    /// their balls with: this configuration's query-level switches and update plan on
+    /// plain `Match` — the pattern's own radius, worklist refinement and no
+    /// connectivity pruning.
     /// [`ssim_core::strong::strong_simulation`] under it yields the same rows, with
     /// relations over the original rather than the minimised pattern.
     pub fn match_config(&self) -> MatchConfig {
@@ -144,6 +145,7 @@ impl DistributedConfig {
             ball_substrate: self.ball_substrate,
             repetition: self.repetition,
             repetition_mode: self.repetition_mode,
+            update_plan: self.update_plan,
             ..MatchConfig::basic()
         }
     }
@@ -240,7 +242,7 @@ pub fn distributed_strong_simulation(
     data: &Graph,
     config: &DistributedConfig,
 ) -> Result<DistributedOutput, DistError> {
-    distributed_with_prepared(pattern, DataRef::Flat(data), config, None, None, None)
+    distributed_with_state(pattern, DataRef::Flat(data), config, None, None, None)
 }
 
 /// [`distributed_strong_simulation`] under a scripted [`FaultPlan`]: site crashes,
@@ -255,7 +257,7 @@ pub fn distributed_with_faults(
     config: &DistributedConfig,
     faults: &FaultPlan,
 ) -> Result<DistributedOutput, DistError> {
-    distributed_with_prepared(
+    distributed_with_state(
         pattern,
         DataRef::Flat(data),
         config,
@@ -265,11 +267,11 @@ pub fn distributed_with_faults(
     )
 }
 
-/// The entry point of the query service, mirroring
-/// [`ssim_core::strong::match_with_prepared`]: a coordinator-maintained global state
-/// (skipping the global fixpoint and `Gm` extraction), a dirty-center filter in
-/// data-graph ids — only dirty centers are routed to their owning sites, which is how a
-/// delta's work is distributed — and an optional fault plan. On the prepared
+/// The entry point of the partitioned executor, mirroring
+/// [`ssim_core::strong::MatchPlan::for_state`]: a coordinator-maintained query state
+/// (its minimised pattern, global fixpoint and `Gm` extraction), a dirty-center filter
+/// in data-graph ids — only dirty centers are routed to their owning sites, which is
+/// how a delta's work is distributed — and an optional fault plan. On the prepared
 /// match-graph substrate every site runs inside the cached `Gm`, so
 /// [`DataRef::CountOnly`] suffices (partitions are id-based) and the service serves
 /// straight from its overlay.
@@ -280,27 +282,27 @@ pub fn distributed_with_faults(
 /// state lacks the extraction the match-graph substrate needs. A non-empty fault plan
 /// without a recovery policy is rejected up front, so no entry point can panic on a
 /// scripted fault.
-pub(crate) fn distributed_with_prepared(
+pub(crate) fn distributed_with_state(
     pattern: &Pattern,
     data: DataRef<'_>,
     config: &DistributedConfig,
-    prepared: Option<PreparedGlobal<'_>>,
+    state: Option<&PatternState>,
     dirty: Option<&BitSet>,
     faults: Option<&FaultPlan>,
 ) -> Result<DistributedOutput, DistError> {
     if faults.is_some_and(|plan| !plan.is_empty()) && config.recovery.is_none() {
         return Err(DistError::FaultPlanNeedsRecovery);
     }
-    distributed_core(pattern, data, config, prepared, dirty, faults)
+    distributed_core(pattern, data, config, state, dirty, faults)
 }
 
-/// [`distributed_with_prepared`] without the fault-plan gate. The propagation
+/// [`distributed_with_state`] without the fault-plan gate. The propagation
 /// regression test drives scripted faults without a recovery policy through it.
 fn distributed_core(
     pattern: &Pattern,
     data: DataRef<'_>,
     config: &DistributedConfig,
-    prepared: Option<PreparedGlobal<'_>>,
+    state: Option<&PatternState>,
     dirty: Option<&BitSet>,
     faults: Option<&FaultPlan>,
 ) -> Result<DistributedOutput, DistError> {
@@ -311,7 +313,11 @@ fn distributed_core(
     // Coordinator step 1: the engine's preamble, then "broadcast" the plan. Its centers
     // go to the site owning them (the owner of the *original* node — `Gm` ids
     // translate back for the ownership lookup), in ascending id order.
-    let plan = MatchPlan::new(pattern, data, &config.match_config(), prepared, dirty)?;
+    let match_config = config.match_config();
+    let plan = match state {
+        Some(state) => MatchPlan::for_state(pattern, data, &match_config, state, dirty)?,
+        None => MatchPlan::new(pattern, data, &match_config, None, dirty)?,
+    };
     let mut site_centers: Vec<Vec<NodeId>> = vec![Vec::new(); config.sites];
     for &center in plan.centers() {
         site_centers[partition.site_of(plan.outer_of(center))].push(center);
@@ -1061,25 +1067,29 @@ mod tests {
     #[test]
     fn counted_entry_without_gm_returns_typed_errors() {
         let (pattern, data) = small_case();
-        let relation = ssim_core::dual::dual_simulation_with(
-            &pattern,
-            &data,
-            ssim_core::simulation::RefineStrategy::Worklist,
-        )
-        .expect("extracted pattern matches its own graph");
+        let overlay = ssim_graph::OverlayGraph::new(data.clone());
+        let state = |config: &DistributedConfig| {
+            let shape = config.match_config();
+            PatternState::new(
+                &pattern,
+                &overlay,
+                shape.minimize_query,
+                shape.radius_override,
+                shape.dual_filter,
+                shape.ball_substrate,
+                shape.refine_strategy,
+            )
+        };
         // Without the dual filter the counted path must traverse the flat graph.
         let flat_needed = DistributedConfig {
             dual_filter: false,
             ..DistributedConfig::default()
         };
-        let err = distributed_with_prepared(
+        let err = distributed_with_state(
             &pattern,
             DataRef::CountOnly(data.node_count()),
             &flat_needed,
-            Some(PreparedGlobal {
-                relation: &relation,
-                gm: None,
-            }),
+            Some(&state(&flat_needed)),
             None,
             None,
         )
@@ -1091,14 +1101,13 @@ mod tests {
             ball_substrate: BallSubstrate::MatchGraph,
             ..DistributedConfig::default()
         };
-        let err = distributed_with_prepared(
+        let mut without_gm = state(&gm_needed);
+        assert!(without_gm.gm_cache.take().is_some());
+        let err = distributed_with_state(
             &pattern,
             DataRef::CountOnly(data.node_count()),
             &gm_needed,
-            Some(PreparedGlobal {
-                relation: &relation,
-                gm: None,
-            }),
+            Some(&without_gm),
             None,
             None,
         )

@@ -1,278 +1,108 @@
 //! Multi-pattern standing queries over the fault-tolerant distributed runtime.
 //!
-//! The distributed twin of [`ssim_core::service::QueryService`], and the only code that
-//! applies a delta to a distributed match ([`crate::incremental::IncrementalDistributed`]
-//! is a one-query service). The substrate half of an apply is the core service's:
-//! [`SubstrateStep`] lands the delta on the shared epoch-versioned substrate once and
-//! runs the edge-ball sweeps once per distinct radius, [`fold_batch`] folds a batch into
-//! its net delta, and one [`SubstrateCache`] shares the flat materialisation across the
-//! full-graph-substrate queries of an apply. What this service adds per query is the
-//! coordinator pass: dirty centers routed to their owning sites, rows shipped back and
-//! spliced, optionally under a scripted [`FaultPlan`] with lost-center healing — centers
-//! a degraded apply lost are re-routed on the next one.
-//!
-//! Every shared value is a pure function of inputs a one-query service would compute
-//! for itself, so each query's [`DistributedOutput`] subgraphs track a private session
-//! bit for bit.
+//! A distributed standing query differs from a local one only in *where its balls run*
+//! (Prop. 3: a partitioned run evaluates exactly the balls a centralized one does, each
+//! at the site owning its center). So the distributed service is
+//! [`ssim_core::service::QueryService`] itself — registry, shared substrate step, batch
+//! fold, pattern-state advance and splice — on the [`Partitioned`] executor, whose pass
+//! routes the dirty centers to their owning sites, optionally under a scripted
+//! [`FaultPlan`], and re-routes the centers a degraded pass lost
+//! ([`DistributedOutput::lost_centers`]) on the next apply.
 
 use crate::error::DistError;
 use crate::fault::FaultPlan;
-use crate::runtime::{distributed_with_prepared, DistributedConfig, DistributedOutput};
-use ssim_core::incremental::{splice_rows, PatternState};
-use ssim_core::service::{fold_batch, QueryId, SharingStats, SubstrateCache, SubstrateStep};
-use ssim_core::simulation::RefineStrategy;
-use ssim_core::strong::DataRef;
-use ssim_graph::{
-    Graph, GraphDelta, GraphEpoch, OverlayGraph, Pattern, SnapshotHandle, VersionedGraph,
-};
-
-struct Session {
-    pattern: Pattern,
-    config: DistributedConfig,
-    state: PatternState,
-    output: DistributedOutput,
-}
-
-/// What one [`DistributedQueryService::apply`] did.
-#[derive(Debug, Clone)]
-pub struct DistServiceUpdate {
-    /// Epoch of the published substrate after the apply.
-    pub epoch: GraphEpoch,
-    /// The overlay compacted back to a flat base CSR during this apply.
-    pub compacted: bool,
-    /// Cross-pattern sharing accounting (the flat materialisation counts as the
-    /// substrate build; region extraction sharing happens site-side and is not
-    /// re-counted here).
-    pub sharing: SharingStats,
-}
+use crate::runtime::{distributed_with_state, DistributedConfig, DistributedOutput};
+use ssim_core::match_graph::PerfectSubgraph;
+use ssim_core::service::{Executor, QueryRef, QueryService, SubstrateCache};
+use ssim_core::strong::{DataRef, MatchConfig};
+use ssim_graph::{BitSet, Graph, NodeId, OverlayGraph, Pattern};
 
 /// A registry of standing queries over one shared graph, each served by the
-/// distributed runtime. See the [module docs](self).
-pub struct DistributedQueryService {
-    substrate: VersionedGraph,
-    sessions: Vec<Option<Session>>,
-}
+/// distributed runtime: `DistributedQueryService::with_executor(data, Partitioned)`.
+pub type DistributedQueryService = QueryService<Partitioned>;
 
-impl DistributedQueryService {
-    /// A service over `data` with no registered queries.
-    pub fn new(data: Graph) -> Self {
-        DistributedQueryService {
-            substrate: VersionedGraph::new(data),
-            sessions: Vec::new(),
-        }
+/// The partitioned executor: each query's pass is one coordinator run of the
+/// distributed runtime under the query's [`DistributedConfig`], with partitions sized
+/// by `|V|`. A non-empty [`FaultPlan`] needs a recovery policy on every query that runs
+/// under it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Partitioned;
+
+impl Executor for Partitioned {
+    type Config = DistributedConfig;
+    type Output = DistributedOutput;
+    type Error = DistError;
+    type Faults = FaultPlan;
+
+    fn match_config(&self, config: &DistributedConfig) -> MatchConfig {
+        config.match_config()
     }
 
-    /// Registers a standing query and runs its initial distributed match. Fails on an
-    /// invalid [`DistributedConfig`]. As in the core service, `config.update_plan` is
-    /// ignored — the service is the incremental plan; the recompute oracle exists as
-    /// independent sessions.
-    pub fn register(
-        &mut self,
-        pattern: &Pattern,
-        config: DistributedConfig,
-    ) -> Result<QueryId, DistError> {
-        let data = self.substrate.published();
-        config.validate(data.node_count())?;
-        let state = PatternState::new(
-            pattern,
-            data,
-            config.minimize_query,
-            None,
-            config.dual_filter,
-            config.ball_substrate,
-            RefineStrategy::Worklist,
-        );
-        // One unrestricted pass, copy-free off the base CSR while the overlay is flat.
-        let flat;
-        let graph = if data.is_flat() {
-            data.base()
-        } else {
-            flat = data.to_graph();
-            &flat
-        };
-        let output = distributed_with_prepared(
-            pattern,
-            DataRef::Flat(graph),
-            &config,
-            state.prepared(),
-            None,
-            None,
-        )?;
-        self.sessions.push(Some(Session {
-            pattern: pattern.clone(),
-            config,
-            state,
-            output,
-        }));
-        Ok(QueryId(self.sessions.len() - 1))
-    }
-
-    /// Removes a standing query; ids are never reused.
-    pub fn deregister(&mut self, id: QueryId) -> bool {
-        match self.sessions.get_mut(id.0) {
-            Some(slot @ Some(_)) => {
-                *slot = None;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Ids of the live registered queries, ascending.
-    pub fn query_ids(&self) -> Vec<QueryId> {
-        self.sessions
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| QueryId(i)))
-            .collect()
-    }
-
-    /// Number of live registered queries.
-    pub fn len(&self) -> usize {
-        self.sessions.iter().flatten().count()
-    }
-
-    /// `true` when no queries are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The cached distributed result of one query over the current graph. After a
-    /// degraded apply its [`DistributedOutput::lost_centers`] lists the rows the cache
-    /// is missing; the next apply heals them.
-    pub fn output(&self, id: QueryId) -> Option<&DistributedOutput> {
-        self.sessions
-            .get(id.0)
-            .and_then(|s| s.as_ref())
-            .map(|s| &s.output)
-    }
-
-    /// Epoch of the currently published substrate version.
-    pub fn epoch(&self) -> GraphEpoch {
-        self.substrate.epoch()
-    }
-
-    /// Pins the published substrate version.
-    pub fn pin(&self) -> SnapshotHandle {
-        self.substrate.pin()
-    }
-
-    /// The current data graph, materialised flat — for oracles and tests.
-    pub fn data(&self) -> Graph {
-        self.substrate.published().to_graph()
-    }
-
-    /// The published substrate version.
-    pub(crate) fn published(&self) -> &OverlayGraph {
-        self.substrate.published()
-    }
-
-    /// Applies one validated delta: lands on the shared substrate once, sweeps dirty
-    /// balls once per distinct radius, then fans out per query through the distributed
-    /// coordinator. Fails before touching anything when the delta does not validate.
-    pub fn apply(&mut self, delta: &GraphDelta) -> Result<DistServiceUpdate, DistError> {
-        self.apply_batch_with(std::slice::from_ref(delta), None)
-    }
-
-    /// [`DistributedQueryService::apply`] under a scripted [`FaultPlan`]. Every
-    /// registered query's fan-out runs under the same plan (each restarts the plan's
-    /// `(site, chunk, round)` script — sessions are independent supervision scopes), so
-    /// a non-empty plan requires *every* query's configuration to carry a recovery
-    /// policy. Degraded queries record their lost centers and heal on the next apply.
-    pub fn apply_with_faults(
-        &mut self,
-        delta: &GraphDelta,
+    fn run(
+        &self,
+        query: QueryRef<'_, DistributedConfig>,
+        data: &OverlayGraph,
+        dirty: Option<&BitSet>,
+        cache: &mut SubstrateCache,
         faults: &FaultPlan,
-    ) -> Result<DistServiceUpdate, DistError> {
-        self.apply_batch_with(std::slice::from_ref(delta), Some(faults))
+    ) -> Result<DistributedOutput, DistError> {
+        let data = match query.state.prepared() {
+            // The serving path: the whole run stays inside the maintained `Gm` (or
+            // short-circuits on an empty fixpoint) — no flat graph at all.
+            Some(p) if p.gm.is_some() || !p.relation.is_total() => {
+                DataRef::CountOnly(data.node_count())
+            }
+            // Full-graph-substrate shapes localise in the raw data graph: one flat
+            // materialisation per apply, shared by every such query.
+            _ => DataRef::Flat(cache.flat(data)),
+        };
+        let state = Some(query.state);
+        distributed_with_state(
+            query.pattern,
+            data,
+            query.config,
+            state,
+            dirty,
+            Some(faults),
+        )
     }
 
-    /// Applies a batch of deltas as one maintenance step per query: the stream is
-    /// folded into its net delta ([`fold_batch`]) and fed through a single
-    /// [`DistributedQueryService::apply`]. A mid-stream validation error leaves the
-    /// substrate and every query untouched.
-    pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<DistServiceUpdate, DistError> {
-        self.apply_batch_with(deltas, None)
+    fn oneshot(
+        &self,
+        pattern: &Pattern,
+        data: &Graph,
+        config: &DistributedConfig,
+        faults: &FaultPlan,
+    ) -> Result<DistributedOutput, DistError> {
+        distributed_with_state(
+            pattern,
+            DataRef::Flat(data),
+            config,
+            None,
+            None,
+            Some(faults),
+        )
     }
 
-    /// The one apply path: the fault gate, the shared substrate step, then per query
-    /// the pattern-state advance, lost-center healing, the coordinator pass and the
-    /// splice.
-    pub(crate) fn apply_batch_with(
-        &mut self,
-        deltas: &[GraphDelta],
-        faults: Option<&FaultPlan>,
-    ) -> Result<DistServiceUpdate, DistError> {
-        // Gate before any state moves: scripted faults require a recovery policy on
-        // every query that will run under them.
-        if faults.is_some_and(|plan| !plan.is_empty())
-            && self
-                .sessions
-                .iter()
-                .flatten()
-                .any(|s| s.config.recovery.is_none())
-        {
+    fn rows_mut<'o>(&self, output: &'o mut DistributedOutput) -> &'o mut Vec<PerfectSubgraph> {
+        &mut output.subgraphs
+    }
+
+    /// The traffic counters keep describing the most recent pass, except for the rows
+    /// the coordinator now holds.
+    fn refresh(&self, output: &mut DistributedOutput, _: usize) {
+        output.traffic.result_subgraphs = output.subgraphs.len();
+    }
+
+    fn admit(&self, config: &DistributedConfig, faults: &FaultPlan) -> Result<(), DistError> {
+        if !faults.is_empty() && config.recovery.is_none() {
             return Err(DistError::FaultPlanNeedsRecovery);
         }
-        let Some(delta) = fold_batch(self.substrate.published(), deltas)? else {
-            return Ok(DistServiceUpdate {
-                epoch: self.substrate.epoch(),
-                compacted: false,
-                sharing: SharingStats {
-                    sessions: self.len(),
-                    ..SharingStats::default()
-                },
-            });
-        };
-        let step = SubstrateStep::run(
-            &mut self.substrate,
-            &delta,
-            self.sessions.iter().flatten().map(|s| &s.state),
-        )?;
-        let data = self.substrate.published();
-        let mut shared = SubstrateCache::new();
-        for sess in self.sessions.iter_mut().flatten() {
-            let (pre, post) = step.edge_dirty(&sess.state);
-            let mut effect = sess.state.advance_applied(data, &delta, pre, post);
-            // Lost-center healing: centers a previous degraded apply lost have no
-            // trustworthy cached rows. Marking them dirty routes them to (live) sites
-            // again and splices their fresh rows in below — and removes any stale
-            // cached row even if this apply loses them again.
-            for &center in &sess.output.lost_centers {
-                effect.dirty.insert(center.index());
-            }
-            let prepared = sess.state.prepared();
-            let data_ref = match prepared {
-                // The serving path: the whole run stays inside the maintained `Gm` (or
-                // short-circuits on an empty fixpoint) — no flat graph at all.
-                Some(p) if p.gm.is_some() || !p.relation.is_total() => {
-                    DataRef::CountOnly(data.node_count())
-                }
-                // Full-graph-substrate shapes localise in the raw data graph: one flat
-                // materialisation per apply, shared by every such query.
-                _ => DataRef::Flat(shared.flat(data)),
-            };
-            let mut out = distributed_with_prepared(
-                &sess.pattern,
-                data_ref,
-                &sess.config,
-                prepared,
-                Some(&effect.dirty),
-                faults,
-            )?;
-            let fresh = std::mem::replace(
-                &mut out.subgraphs,
-                std::mem::take(&mut sess.output.subgraphs),
-            );
-            splice_rows(&mut out.subgraphs, &effect.dirty, fresh);
-            out.traffic.result_subgraphs = out.subgraphs.len();
-            sess.output = out;
-        }
-        Ok(DistServiceUpdate {
-            epoch: self.substrate.epoch(),
-            compacted: step.compacted,
-            sharing: step.sharing(self.len(), &shared),
-        })
+        Ok(())
+    }
+
+    fn lost_centers<'o>(&self, output: &'o DistributedOutput) -> &'o [NodeId] {
+        &output.lost_centers
     }
 }
 
@@ -282,9 +112,11 @@ mod tests {
     use crate::fault::RecoveryPolicy;
     use crate::incremental::IncrementalDistributed;
     use crate::partition::PartitionStrategy;
+    use ssim_core::service::QueryId;
     use ssim_datasets::patterns::extract_pattern;
     use ssim_datasets::synthetic::{synthetic, SyntheticConfig};
     use ssim_graph::NodeId;
+    use ssim_graph::{Graph, GraphDelta, Pattern};
 
     fn base_config() -> DistributedConfig {
         DistributedConfig {
@@ -321,10 +153,10 @@ mod tests {
             .map(|&seed| extract_pattern(&data, 3, seed).expect("pattern extraction succeeds"))
             .collect();
         let config = base_config();
-        let mut service = DistributedQueryService::new(data.clone());
+        let mut service = DistributedQueryService::with_executor(data.clone(), Partitioned);
         let ids: Vec<QueryId> = patterns
             .iter()
-            .map(|p| service.register(p, config).expect("valid config"))
+            .map(|p| service.try_register(p, config).expect("valid config"))
             .collect();
         let mut oracles: Vec<IncrementalDistributed> = patterns
             .iter()
@@ -366,10 +198,10 @@ mod tests {
         let pattern = extract_pattern(&data, 3, 5).expect("pattern extraction succeeds");
         let config = base_config();
         let deltas = two_deltas(&data);
-        let mut batched = DistributedQueryService::new(data.clone());
-        let id_b = batched.register(&pattern, config).unwrap();
-        let mut sequential = DistributedQueryService::new(data.clone());
-        let id_s = sequential.register(&pattern, config).unwrap();
+        let mut batched = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let id_b = batched.try_register(&pattern, config).unwrap();
+        let mut sequential = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let id_s = sequential.try_register(&pattern, config).unwrap();
         batched.apply_batch(&deltas).unwrap();
         for d in &deltas {
             sequential.apply(d).unwrap();
@@ -402,8 +234,8 @@ mod tests {
         };
         let deltas = two_deltas(&data);
 
-        let mut oracle = DistributedQueryService::new(data.clone());
-        let id_o = oracle.register(&pattern, config).unwrap();
+        let mut oracle = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let id_o = oracle.try_register(&pattern, config).unwrap();
         oracle.apply(&deltas[0]).unwrap();
         oracle.apply(&deltas[1]).unwrap();
 
@@ -413,8 +245,8 @@ mod tests {
                 plan.panic_chunk(site, 0, round);
             }
         }
-        let mut service = DistributedQueryService::new(data.clone());
-        let id = service.register(&pattern, config).unwrap();
+        let mut service = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let id = service.try_register(&pattern, config).unwrap();
         service.apply_with_faults(&deltas[0], &plan).unwrap();
         assert!(!service.output(id).unwrap().lost_centers.is_empty());
         service.apply(&deltas[1]).unwrap();
@@ -435,8 +267,8 @@ mod tests {
             seed: 7,
         });
         let pattern = extract_pattern(&data, 3, 5).expect("pattern extraction succeeds");
-        let mut service = DistributedQueryService::new(data.clone());
-        let id = service.register(&pattern, base_config()).unwrap();
+        let mut service = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let id = service.try_register(&pattern, base_config()).unwrap();
         let before = service.output(id).unwrap().subgraphs.clone();
         let epoch = service.epoch();
         let mut plan = FaultPlan::none();

@@ -15,6 +15,8 @@
 
 use proptest::prelude::*;
 use ssim_core::incremental::IncrementalMatcher;
+use ssim_core::match_graph::PerfectSubgraph;
+use ssim_core::minimize::minimize_pattern;
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
 use ssim_core::{BallSubstrate, RefineStrategy, RepetitionMode, RepetitionSemantics, UpdatePlan};
 use ssim_datasets::patterns::{random_pattern, PatternGenConfig};
@@ -323,4 +325,38 @@ pub fn check_matrix_point(
         "{context}: distributed post-delta subgraphs differ"
     );
     Ok(())
+}
+
+/// Distributed rows in the form `strong_simulation` reports them: with `minimize_query`
+/// the runtime leaves each relation over the minimised pattern's classes, so every
+/// class pair expands to one pair per original pattern node of the class.
+pub fn expand_classes(
+    pattern: &Pattern,
+    minimized: bool,
+    rows: &[PerfectSubgraph],
+) -> Vec<PerfectSubgraph> {
+    if !minimized {
+        return rows.to_vec();
+    }
+    let class_of = minimize_pattern(pattern).class_of;
+    rows.iter()
+        .map(|row| {
+            let mut relation: Vec<(NodeId, NodeId)> = row
+                .relation
+                .iter()
+                .flat_map(|&(class, v)| {
+                    class_of
+                        .iter()
+                        .enumerate()
+                        .filter(move |&(_, &c)| c == class)
+                        .map(move |(u, _)| (NodeId::from_index(u), v))
+                })
+                .collect();
+            relation.sort_unstable();
+            PerfectSubgraph {
+                relation,
+                ..row.clone()
+            }
+        })
+        .collect()
 }

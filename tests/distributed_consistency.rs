@@ -6,8 +6,6 @@
 mod common;
 
 use proptest::prelude::*;
-use ssim_core::match_graph::PerfectSubgraph;
-use ssim_core::minimize::minimize_pattern;
 use ssim_core::strong::{strong_simulation, MatchConfig};
 use ssim_core::{BallSubstrate, RepetitionSemantics};
 use ssim_datasets::paper;
@@ -18,7 +16,6 @@ use ssim_distributed::{
     distributed_strong_simulation, DistributedConfig, GraphPartition, PartitionStrategy,
     RecoveryPolicy, RecoveryStats, TrafficStats,
 };
-use ssim_graph::{NodeId, Pattern};
 
 #[test]
 fn distributed_matches_centralized_across_sites_and_strategies() {
@@ -138,40 +135,6 @@ fn partition_invariants() {
     }
 }
 
-/// Distributed rows in the form `strong_simulation` reports them: with `minimize_query`
-/// the runtime leaves each relation over the minimised pattern's classes, so every
-/// class pair expands to one pair per original pattern node of the class.
-fn expand_classes(
-    pattern: &Pattern,
-    minimized: bool,
-    rows: &[PerfectSubgraph],
-) -> Vec<PerfectSubgraph> {
-    if !minimized {
-        return rows.to_vec();
-    }
-    let class_of = minimize_pattern(pattern).class_of;
-    rows.iter()
-        .map(|row| {
-            let mut relation: Vec<(NodeId, NodeId)> = row
-                .relation
-                .iter()
-                .flat_map(|&(class, v)| {
-                    class_of
-                        .iter()
-                        .enumerate()
-                        .filter(move |&(_, &c)| c == class)
-                        .map(move |(u, _)| (NodeId::from_index(u), v))
-                })
-                .collect();
-            relation.sort_unstable();
-            PerfectSubgraph {
-                relation,
-                ..row.clone()
-            }
-        })
-        .collect()
-}
-
 /// Zeroes the counters steal timing and supervision are allowed to perturb.
 fn normalized(t: &TrafficStats) -> TrafficStats {
     TrafficStats {
@@ -219,7 +182,7 @@ proptest! {
         };
         let out = distributed_strong_simulation(&q, &data, &config).expect("sites <= |V|");
         let central = strong_simulation(&q, &data, &config.match_config());
-        prop_assert_eq!(expand_classes(&q, minimize_query, &out.subgraphs), central.subgraphs);
+        prop_assert_eq!(common::expand_classes(&q, minimize_query, &out.subgraphs), central.subgraphs);
 
         let t = &out.traffic;
         let evaluated: usize = t.balls_per_site.iter().sum();

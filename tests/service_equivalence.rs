@@ -18,22 +18,26 @@
 //! * **sharing accounting** — same-radius full-graph-sweep patterns collapse to one
 //!   sweep per radius, and the shared substrate cache reports real reuse;
 //! * **distributed twin** — `DistributedQueryService` tracks independent
-//!   `IncrementalDistributed` sessions row for row.
+//!   `IncrementalDistributed` sessions row for row;
+//! * **two executors** — the same queries on the local and the partitioned executor
+//!   hold equal rows along a delta stream, through a degraded apply and its healing.
 
 mod common;
 
-use common::{assert_bit_identical, random_delta};
+use common::{assert_bit_identical, expand_classes, random_delta};
 use proptest::prelude::*;
 use ssim_core::incremental::IncrementalMatcher;
 use ssim_core::service::{PatternBuilder, QueryId, QueryService};
 use ssim_core::strong::{strong_simulation, MatchConfig};
 use ssim_core::UpdatePlan;
-use ssim_distributed::service::DistributedQueryService;
+use ssim_distributed::service::{DistributedQueryService, Partitioned};
 use ssim_distributed::{
-    distributed_strong_simulation, DistributedConfig, IncrementalDistributed, PartitionStrategy,
+    distributed_strong_simulation, DistributedConfig, FaultPlan, IncrementalDistributed,
+    PartitionStrategy, RecoveryPolicy,
 };
 use ssim_experiments::workloads::{experiment_pattern, DatasetKind};
-use ssim_graph::{Label, Pattern};
+use ssim_graph::{Label, NodeId, Pattern};
+use std::collections::BTreeSet;
 
 /// The configuration shapes queries register under: the poles that exercise every
 /// service code path — shared data-edge sweeps (basic: no dual filter), the `Gm`
@@ -248,7 +252,7 @@ proptest! {
             minimize_query: false,
             ..DistributedConfig::default()
         };
-        let mut service = DistributedQueryService::new(data.clone());
+        let mut service = DistributedQueryService::with_executor(data.clone(), Partitioned);
         let mut oracles = Vec::new();
         for i in 0..n_patterns {
             let q = experiment_pattern(
@@ -256,7 +260,7 @@ proptest! {
                 2 + i % 3,
                 seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
             );
-            let id = service.register(&q, config).expect("valid config");
+            let id = service.try_register(&q, config).expect("valid config");
             let oracle = IncrementalDistributed::new(&q, data.clone(), config)
                 .expect("valid config");
             prop_assert!(
@@ -281,6 +285,90 @@ proptest! {
                 prop_assert!(
                     service.output(*id).unwrap().subgraphs == oneshot.subgraphs,
                     "query {}: step {}: rows differ from one-shot distributed run", i, step
+                );
+            }
+        }
+    }
+
+    /// One service, two executors: the same patterns registered on the local executor
+    /// under `DistributedConfig::match_config()` and on the partitioned executor hold
+    /// equal rows after every delta (the partitioned rows class-expanded). One apply
+    /// runs the partitioned service under a fault plan that loses the first chunk of
+    /// every site: its rows are the local rows minus the lost centers, and the next,
+    /// fault-free apply heals them back to equality.
+    #[test]
+    fn local_and_partitioned_executors_hold_equal_rows(
+        seed in any::<u64>(),
+        nodes in 24usize..48,
+        kind in 0usize..3,
+        sites in 1usize..4,
+        shape in 0u8..16,
+        n_patterns in 1usize..4,
+        fault_step in 0usize..3,
+        stream in proptest::collection::vec(
+            proptest::collection::vec(any::<u64>(), 1..6), 2..4),
+    ) {
+        let kind = DatasetKind::all()[kind];
+        let data = kind.generate(nodes, seed);
+        let policy = RecoveryPolicy::default();
+        let dcfg = DistributedConfig {
+            sites,
+            strategy: if shape & 1 == 0 { PartitionStrategy::Range } else { PartitionStrategy::Hash },
+            minimize_query: shape & 2 != 0,
+            dual_filter: shape & 4 != 0,
+            ball_substrate: if shape & 8 == 0 {
+                ssim_core::BallSubstrate::MatchGraph
+            } else {
+                ssim_core::BallSubstrate::FullGraph
+            },
+            recovery: Some(policy),
+            ..DistributedConfig::default()
+        };
+        let mut local = QueryService::new(data.clone());
+        let mut partitioned = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let mut queries = Vec::new();
+        for i in 0..n_patterns {
+            let q = experiment_pattern(
+                &data,
+                2 + i % 3,
+                seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
+            );
+            let l = local.register(&q, dcfg.match_config());
+            let p = partitioned.try_register(&q, dcfg).expect("valid config");
+            queries.push((q, l, p));
+        }
+        let mut plan = FaultPlan::none();
+        for site in 0..sites {
+            for round in 0..=policy.chunk_retries {
+                plan.panic_chunk(site, 0, round);
+            }
+        }
+        let fault_step = fault_step % (stream.len() - 1);
+        let mut graph = data;
+        for (step, picks) in stream.iter().enumerate() {
+            let delta = random_delta(&graph, picks);
+            graph = graph.apply_delta(&delta).expect("random_delta validates");
+            local.apply(&delta).expect("delta validates");
+            if step == fault_step {
+                partitioned.apply_with_faults(&delta, &plan).expect("degraded, not failed");
+            } else {
+                partitioned.apply(&delta).expect("delta validates");
+            }
+            for (i, (q, l, p)) in queries.iter().enumerate() {
+                let out = partitioned.output(*p).unwrap();
+                let lost: BTreeSet<NodeId> = out.lost_centers.iter().copied().collect();
+                prop_assert!(step == fault_step || lost.is_empty(), "step {}: unhealed", step);
+                let expected: Vec<_> = local
+                    .output(*l)
+                    .unwrap()
+                    .subgraphs
+                    .iter()
+                    .filter(|row| !lost.contains(&row.center))
+                    .cloned()
+                    .collect();
+                prop_assert!(
+                    expand_classes(q, dcfg.minimize_query, &out.subgraphs) == expected,
+                    "query {}: step {}: partitioned rows differ from local rows", i, step
                 );
             }
         }
