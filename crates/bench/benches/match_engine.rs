@@ -20,9 +20,10 @@
 //! candidate density instead of the mesh degree. Four update-stream rows
 //! (`update-overlap-chain-*`, `update-selective-labels-*` at 1 % / 5 % edge churn)
 //! stress the incremental matcher: each `incremental_update` blob records the
-//! dirty-ball fraction and the speedup of `UpdatePlan::Incremental` over the
-//! `UpdatePlan::Recompute` oracle across a six-delta stream. A `repeated-labels` row
-//! (equal-label community corpus) prices the repetition oracle axis: its `repetition` blob
+//! dirty-ball fraction and the speedup of a one-query `QueryService` over the recompute
+//! oracle (`Graph::apply_delta` plus the one-shot matcher) across a six-delta stream. A
+//! `repeated-labels` row (equal-label community corpus) prices the repetition oracle
+//! axis: its `repetition` blob
 //! records the `Distinct`/`Equal` witness-closure overhead over `Free` and the naive
 //! per-ball oracle's cost over the integrated path, on the one workload shape where
 //! the closure has real work. Each update row carries an
@@ -41,8 +42,8 @@
 
 use ssim_bench::{workload, BenchWorkload, BENCH_NODES, BENCH_PATTERN_NODES};
 use ssim_core::ball::BallSubstrate;
-use ssim_core::incremental::{IncrementalMatcher, UpdatePlan};
 use ssim_core::repetition::{RepetitionMode, RepetitionSemantics};
+use ssim_core::service::QueryService;
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
 use ssim_distributed::{distributed_strong_simulation, DistributedConfig, RecoveryPolicy};
 use ssim_experiments::workloads::DatasetKind;
@@ -193,50 +194,99 @@ fn delta_stream(
         .collect()
 }
 
-/// Times one update plan absorbing the whole stream. Session construction (the initial
-/// full match) is untimed — both plans pay it identically; the applies are the measure.
-/// Returns the stream seconds and the mean dirty-ball fraction across the updates.
+/// Correctness gate + warm-up for an update row: a one-query [`QueryService`] absorbs the
+/// stream in `batch`-sized groups, and after every group its rows must equal the one-shot
+/// matcher on a flat graph advanced independently with `Graph::apply_delta`.
+fn check_update_stream(
+    pattern: &ssim_graph::Pattern,
+    data: &ssim_graph::Graph,
+    config: &MatchConfig,
+    stream: &[GraphDelta],
+    batch: usize,
+) {
+    let mut service = QueryService::new(data.clone());
+    let id = service.register(pattern, *config);
+    let mut graph = data.clone();
+    for chunk in stream.chunks(batch) {
+        service.apply_batch(chunk).expect("stream validates");
+        for delta in chunk {
+            graph = graph.apply_delta(delta).expect("stream validates");
+        }
+        assert_eq!(
+            service.output(id).expect("registered").subgraphs,
+            strong_simulation(pattern, &graph, config).subgraphs,
+            "maintained rows diverged from the recompute oracle"
+        );
+    }
+}
+
+/// Times a one-query [`QueryService`] absorbing the stream in `batch`-sized groups via
+/// `apply_batch` (a one-delta batch is a plain `apply`; a larger one folds into one net
+/// delta and pays a single maintenance pass). Registration (the initial full match) is
+/// untimed; the applies are the measure. Returns the stream seconds and the mean
+/// dirty-ball fraction across the applies.
 fn time_update_stream(
     pattern: &ssim_graph::Pattern,
     data: &ssim_graph::Graph,
     config: &MatchConfig,
-    plan: UpdatePlan,
     stream: &[GraphDelta],
+    batch: usize,
 ) -> (f64, f64) {
-    let mut session = IncrementalMatcher::new(pattern, data.clone(), config.with_update_plan(plan));
+    let mut service = QueryService::new(data.clone());
+    let id = service.register(pattern, *config);
     let mut dirty = 0usize;
+    let mut applies = 0usize;
     let start = Instant::now();
-    for delta in stream {
-        session
-            .apply(delta)
-            .expect("stream validates against the session graph");
-        dirty += session.last_update().dirty_balls;
+    for chunk in stream.chunks(batch) {
+        service
+            .apply_batch(chunk)
+            .expect("stream validates against the service graph");
+        dirty += service.last_update(id).expect("registered").dirty_balls;
+        applies += 1;
     }
     let secs = start.elapsed().as_secs_f64();
-    let fraction = dirty as f64 / (stream.len() * data.node_count()).max(1) as f64;
+    let fraction = dirty as f64 / (applies * data.node_count()).max(1) as f64;
     (secs, fraction)
 }
 
-/// Times one update plan absorbing the stream in `batch`-sized groups via
-/// [`IncrementalMatcher::apply_batch`]: the incremental plan validates the batch on a
-/// cheap overlay clone, folds it into one net delta and pays a single maintenance pass;
-/// the recompute oracle chains the deltas and re-runs the full matcher once per batch.
-fn time_update_stream_batched(
+/// Times the recompute oracle absorbing the same stream: each `batch`-sized group is
+/// chained onto a flat graph with `Graph::apply_delta` and the one-shot matcher re-runs
+/// once per group. The initial graph copy is untimed.
+fn time_recompute_stream(
     pattern: &ssim_graph::Pattern,
     data: &ssim_graph::Graph,
     config: &MatchConfig,
-    plan: UpdatePlan,
     stream: &[GraphDelta],
     batch: usize,
 ) -> f64 {
-    let mut session = IncrementalMatcher::new(pattern, data.clone(), config.with_update_plan(plan));
+    let mut graph = data.clone();
     let start = Instant::now();
     for chunk in stream.chunks(batch) {
-        session
-            .apply_batch(chunk)
-            .expect("stream validates against the session graph");
+        for delta in chunk {
+            graph = graph
+                .apply_delta(delta)
+                .expect("stream validates against the flat graph");
+        }
+        std::hint::black_box(strong_simulation(pattern, &graph, config));
     }
     start.elapsed().as_secs_f64()
+}
+
+/// One [`QueryService`] per pattern, each holding that pattern alone: the independent
+/// sessions the shared service is measured against.
+fn one_query_services(
+    data: &ssim_graph::Graph,
+    patterns: &[ssim_graph::Pattern],
+    config: MatchConfig,
+) -> Vec<(QueryService, ssim_core::service::QueryId)> {
+    patterns
+        .iter()
+        .map(|q| {
+            let mut service = QueryService::new(data.clone());
+            let id = service.register(q, config);
+            (service, id)
+        })
+        .collect()
 }
 
 /// Substrate-level delta cost: per-delta microseconds for `OverlayGraph::apply_delta`
@@ -882,10 +932,10 @@ fn main() {
     }
 
     // Update streams: a matching session absorbs batches of edge churn (1 % / 5 % of
-    // |E|, alternately deleted and re-inserted so the graph oscillates). The
-    // `UpdatePlan::Incremental` session maintains the global relation and re-runs only
-    // the dirty balls (Prop. 3 locality); the `UpdatePlan::Recompute` oracle re-runs
-    // the full matcher per batch. The `incremental_update` blob records the dirty-ball
+    // |E|, alternately deleted and re-inserted so the graph oscillates). A one-query
+    // `QueryService` maintains the global relation and re-runs only the dirty balls
+    // (Prop. 3 locality); the recompute oracle advances a flat graph with
+    // `Graph::apply_delta` and re-runs the one-shot matcher per batch. The `incremental_update` blob records the dirty-ball
     // fraction and the speedup — the continuously-serving engine's headline numbers.
     {
         let updates = 6usize;
@@ -909,45 +959,16 @@ fn main() {
             for (suffix, churn) in [("1pct", 0.01f64), ("5pct", 0.05f64)] {
                 let churn_edges = ((data.edge_count() as f64 * churn).ceil() as usize).max(1);
                 let stream = delta_stream(data, churn_edges, updates, 0x5eed_0001);
-                // Correctness gate + warm-up: both plans step-locked once.
-                {
-                    let mut inc = IncrementalMatcher::new(
-                        pattern,
-                        data.clone(),
-                        config.with_update_plan(UpdatePlan::Incremental),
-                    );
-                    let mut rec = IncrementalMatcher::new(
-                        pattern,
-                        data.clone(),
-                        config.with_update_plan(UpdatePlan::Recompute),
-                    );
-                    for delta in &stream {
-                        inc.apply(delta).expect("stream validates");
-                        rec.apply(delta).expect("stream validates");
-                        assert_eq!(
-                            inc.output().subgraphs,
-                            rec.output().subgraphs,
-                            "update plans diverged"
-                        );
-                    }
-                }
+                check_update_stream(pattern, data, &config, &stream, 1);
                 let stream_runs = 5usize;
                 let mut inc_times = Vec::with_capacity(stream_runs);
                 let mut rec_times = Vec::with_capacity(stream_runs);
                 let mut dirty_fraction = 0.0f64;
                 for _ in 0..stream_runs {
-                    let (secs, fraction) = time_update_stream(
-                        pattern,
-                        data,
-                        &config,
-                        UpdatePlan::Incremental,
-                        &stream,
-                    );
+                    let (secs, fraction) = time_update_stream(pattern, data, &config, &stream, 1);
                     inc_times.push(secs);
                     dirty_fraction = fraction; // deterministic, identical every run
-                    let (secs, _) =
-                        time_update_stream(pattern, data, &config, UpdatePlan::Recompute, &stream);
-                    rec_times.push(secs);
+                    rec_times.push(time_recompute_stream(pattern, data, &config, &stream, 1));
                 }
                 inc_times.sort_by(f64::total_cmp);
                 rec_times.sort_by(f64::total_cmp);
@@ -1010,46 +1031,14 @@ fn main() {
                 // maintenance pass per batch instead of one per delta.
                 if suffix == "5pct" {
                     let batch = 3usize;
-                    // Correctness gate: batched plans step-locked once.
-                    {
-                        let mut inc = IncrementalMatcher::new(
-                            pattern,
-                            data.clone(),
-                            config.with_update_plan(UpdatePlan::Incremental),
-                        );
-                        let mut rec = IncrementalMatcher::new(
-                            pattern,
-                            data.clone(),
-                            config.with_update_plan(UpdatePlan::Recompute),
-                        );
-                        for chunk in stream.chunks(batch) {
-                            inc.apply_batch(chunk).expect("stream validates");
-                            rec.apply_batch(chunk).expect("stream validates");
-                            assert_eq!(
-                                inc.output().subgraphs,
-                                rec.output().subgraphs,
-                                "batched update plans diverged"
-                            );
-                        }
-                    }
+                    check_update_stream(pattern, data, &config, &stream, batch);
                     let mut inc_times = Vec::with_capacity(stream_runs);
                     let mut rec_times = Vec::with_capacity(stream_runs);
                     for _ in 0..stream_runs {
-                        inc_times.push(time_update_stream_batched(
-                            pattern,
-                            data,
-                            &config,
-                            UpdatePlan::Incremental,
-                            &stream,
-                            batch,
-                        ));
-                        rec_times.push(time_update_stream_batched(
-                            pattern,
-                            data,
-                            &config,
-                            UpdatePlan::Recompute,
-                            &stream,
-                            batch,
+                        let (secs, _) = time_update_stream(pattern, data, &config, &stream, batch);
+                        inc_times.push(secs);
+                        rec_times.push(time_recompute_stream(
+                            pattern, data, &config, &stream, batch,
                         ));
                     }
                     inc_times.sort_by(f64::total_cmp);
@@ -1097,11 +1086,10 @@ fn main() {
     // Six overlapping-label-signature patterns stand over one mutating chain. The
     // service applies each delta once — one edge-ball sweep pair, one shared dirty-
     // region extraction fanned out to all six patterns — where the independent
-    // baseline runs six private `IncrementalMatcher` sessions, each paying its own
-    // substrate, sweeps and extraction. The `standing_query` blob records
+    // baseline runs six one-query `QueryService`s, each paying its own substrate,
+    // sweeps and extraction. The `standing_query` blob records
     // patterns×updates/sec and the shared-over-independent ratio (CI gates ≥ 1.2×).
     {
-        use ssim_core::service::QueryService;
         use ssim_experiments::workloads::standing_query_workload;
 
         let (data, patterns) = standing_query_workload(3000);
@@ -1120,13 +1108,10 @@ fn main() {
                 .iter()
                 .map(|q| service.register(q, config))
                 .collect();
-            let mut sessions: Vec<IncrementalMatcher> = patterns
-                .iter()
-                .map(|q| IncrementalMatcher::new(q, data.clone(), config))
-                .collect();
+            let mut sessions = one_query_services(&data, &patterns, config);
             for delta in &stream {
                 last_sharing = Some(service.apply(delta).expect("stream validates").sharing);
-                for (id, session) in ids.iter().zip(sessions.iter_mut()) {
+                for (id, (session, sole)) in ids.iter().zip(sessions.iter_mut()) {
                     session.apply(delta).expect("stream validates");
                     // `chunks_stolen` is the one scheduling-dependent counter.
                     let unstolen = |out: &MatchOutput| {
@@ -1136,7 +1121,7 @@ fn main() {
                     };
                     assert_eq!(
                         unstolen(service.output(*id).unwrap()),
-                        unstolen(session.output()),
+                        unstolen(session.output(*sole).expect("registered")),
                         "service diverged from its independent session"
                     );
                 }
@@ -1164,13 +1149,10 @@ fn main() {
                 }
                 start.elapsed().as_secs_f64()
             } else {
-                let mut sessions: Vec<IncrementalMatcher> = patterns
-                    .iter()
-                    .map(|q| IncrementalMatcher::new(q, data.clone(), config))
-                    .collect();
+                let mut sessions = one_query_services(&data, &patterns, config);
                 let start = Instant::now();
                 for delta in &stream {
-                    for session in sessions.iter_mut() {
+                    for (session, _) in sessions.iter_mut() {
                         session.apply(delta).expect("stream validates");
                     }
                 }

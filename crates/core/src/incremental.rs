@@ -1,19 +1,18 @@
-//! Incremental matching under graph updates: the continuously-serving engine.
+//! Incremental matching under graph updates: the per-pattern maintenance behind the
+//! continuously-serving engine.
 //!
 //! A one-shot [`crate::strong::strong_simulation`] call answers one query; real traffic
-//! mutates the data graph between queries and today's alternative is a full recompute
+//! mutates the data graph between queries and the naive alternative is a full recompute
 //! per change. The paper's locality results make updates intrinsically local: every
 //! perfect subgraph lives in a ball of radius `dQ` around its center (Proposition 3), so
 //! an edge change can only affect the balls whose members lie within substrate distance
 //! `dQ` of a node the change touched. This module holds the per-pattern maintenance
-//! ([`PatternState`], steps 1–3 below) and the private session type
-//! [`IncrementalMatcher`], generic over the service's [`Executor`] (the distributed
-//! crate's session is the same type on its partitioned executor). The apply itself —
-//! substrate step, dirty sweep, the executor's restricted pass and the splice (step 4)
-//! — is owned by [`crate::service::QueryService`]; an incremental `IncrementalMatcher`
-//! is a one-query service. Every maintained query is planned from its `PatternState`
-//! ([`crate::strong::MatchPlan::for_state`]), so its pattern is minimised once, when
-//! the state is built.
+//! ([`PatternState`], steps 1–3 below) and the row splice (step 4). The apply itself —
+//! substrate step, dirty sweep, the executor's restricted pass and the splice — is owned
+//! by [`crate::service::QueryService`], the one front-end for maintained matching: a
+//! session over one pattern is a service holding one query. Every maintained query is
+//! planned from its `PatternState` ([`crate::strong::MatchPlan::for_state`]), so its
+//! pattern is minimised once, when the state is built.
 //!
 //! 1. **Global relation maintenance.** Under `dual_filter`, the exact global
 //!    dual-simulation fixpoint is *maintained* across a [`GraphDelta`] instead of
@@ -44,11 +43,11 @@
 //!    set, and deduplication is re-applied over the splice, so the assembled output is
 //!    bit-identical to a full recompute.
 //!
-//! [`UpdatePlan::Recompute`] is the oracle (pinned by
-//! [`crate::strong::MatchConfig::seed_reference`]): it applies the delta and re-runs the
-//! full matcher. `tests/incremental_update_equivalence.rs` holds both plans bit-identical
-//! along random delta streams, across the sequential, parallel and distributed runtimes,
-//! with the other three engine axes pinned and composed.
+//! The oracle is the one-shot matcher on a flat [`ssim_graph::Graph`] advanced with
+//! [`ssim_graph::Graph::apply_delta`]. `tests/incremental_update_equivalence.rs` holds
+//! the maintained rows bit-identical to it along random delta streams, across the
+//! sequential, parallel and distributed runtimes, with the other engine axes pinned and
+//! composed.
 
 use crate::ball::BallSubstrate;
 use crate::dual::global_dual_simulation;
@@ -57,28 +56,10 @@ use crate::gm::GmSubstrate;
 use crate::match_graph::PerfectSubgraph;
 use crate::minimize::minimize_pattern;
 use crate::relation::MatchRelation;
-use crate::service::{Executor, Local, QueryId, QueryService};
 use crate::simulation::RefineStrategy;
-use crate::strong::MatchConfig;
 use ssim_graph::delta::{mark_edge_ball_centers, mark_within_distance};
-use ssim_graph::{
-    AdjView, BitSet, ExtractedSubgraph, Graph, GraphDelta, NodeId, OverlayGraph, Pattern,
-};
+use ssim_graph::{AdjView, BitSet, ExtractedSubgraph, GraphDelta, NodeId, OverlayGraph, Pattern};
 use std::collections::VecDeque;
-
-/// How a cached match result reacts to a graph delta — an oracle axis next to
-/// `RefineStrategy × BallSubstrate × RepetitionSemantics`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UpdatePlan {
-    /// Maintain the global relation under the delta, invalidate only the dirty balls
-    /// (Prop. 3 locality) and splice their fresh rows into the cached output.
-    #[default]
-    Incremental,
-    /// Apply the delta and recompute the whole match from scratch. The equivalence
-    /// oracle, and the baseline the `incremental_update` bench ratios are measured
-    /// against.
-    Recompute,
-}
 
 /// The maintained global dual-simulation state handed to
 /// [`crate::strong::match_with_prepared`]: the exact global fixpoint plus, on the
@@ -111,7 +92,7 @@ pub struct PreparedGlobal<'a> {
 /// whole pattern), which makes the normalisation exact.
 ///
 /// Generic over [`AdjView`] so the fixpoint can be computed directly against a flat
-/// [`Graph`] or an [`OverlayGraph`] — the overlay merges its patches during iteration,
+/// [`ssim_graph::Graph`] or an [`OverlayGraph`] — the overlay merges its patches during iteration,
 /// so no flat materialisation is needed to (re)establish the relation.
 pub fn global_fixpoint<V: AdjView>(
     pattern: &Pattern,
@@ -281,7 +262,7 @@ pub fn update_global_fixpoint<V: AdjView>(
 /// `PatternState` per registered query, applies each delta to the substrate once, and
 /// moves every pattern across it via [`PatternState::advance_applied`] — handing the
 /// substrate-only edge-ball sweeps in pre-computed, so they are paid once per radius
-/// instead of once per pattern. A private [`IncrementalMatcher`] is a one-query service.
+/// instead of once per pattern.
 ///
 /// `Clone` is deliberate: the state is a pure, deterministic function of its
 /// construction inputs over the current graph, so a clone is bit-identical to
@@ -606,9 +587,8 @@ pub fn splice_rows(
     *rows = merged;
 }
 
-/// Work accounting of one query's most recent [`QueryService::apply`] (or of its
-/// initial run), as [`QueryService::last_update`] and [`IncrementalMatcher::last_update`]
-/// report it.
+/// Work accounting of one query's most recent [`crate::service::QueryService::apply`]
+/// (or of its initial run), as [`crate::service::QueryService::last_update`] reports it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateStats {
     /// Centers the delta marked dirty (re-evaluated through the ball pipeline).
@@ -643,197 +623,12 @@ impl UpdateStats {
     }
 }
 
-/// Per-plan state of the matcher: the incremental plan is a one-query [`QueryService`],
-/// the recompute oracle keeps a flat graph and its own output.
-enum PlanState<E: Executor> {
-    Incremental(QueryService<E>),
-    Recompute(Box<Recompute<E>>),
-}
-
-/// The recompute oracle: a flat graph, rebuilt per delta, and a one-shot run on it.
-struct Recompute<E: Executor> {
-    executor: E,
-    pattern: Pattern,
-    config: E::Config,
-    data: Graph,
-    output: E::Output,
-    last_update: UpdateStats,
-}
-
-/// A strong-simulation session over a mutating data graph, served by the executor `E`.
-///
-/// Construct once, then feed [`GraphDelta`]s through [`IncrementalMatcher::apply`]; the
-/// cached output after every apply is bit-identical (subgraph rows) to a one-shot run on
-/// the updated graph with the same configuration ([`crate::strong::strong_simulation`]
-/// on the [`Local`] executor). The update plan of the executor's [`MatchConfig`] picks
-/// the maintenance strategy — [`UpdatePlan::Incremental`] (the default) or the
-/// [`UpdatePlan::Recompute`] oracle, which re-runs the executor's one-shot matcher per
-/// delta. The incremental plan owns no apply of its own: it is a [`QueryService`]
-/// holding this one query, so the session and the service are one code path.
-pub struct IncrementalMatcher<E: Executor = Local> {
-    plan: PlanState<E>,
-}
-
-/// The incremental plan's query is registered at construction and never deregistered.
-const SOLE_QUERY: QueryId = QueryId(0);
-const REGISTERED: &str = "the session's query stays registered";
-
-impl IncrementalMatcher {
-    /// Runs the initial match over `data` and caches everything the chosen plan needs.
-    pub fn new(pattern: &Pattern, data: Graph, config: MatchConfig) -> Self {
-        IncrementalMatcher::with_executor(pattern, data, config, Local)
-            .expect("local passes do not fail")
-    }
-}
-
-impl<E: Executor> IncrementalMatcher<E> {
-    /// Runs the initial match over `data` on `executor` and caches everything the
-    /// chosen plan needs. Fails when the executor rejects the configuration.
-    pub fn with_executor(
-        pattern: &Pattern,
-        data: Graph,
-        config: E::Config,
-        executor: E,
-    ) -> Result<Self, E::Error> {
-        let plan = match executor.match_config(&config).update_plan {
-            UpdatePlan::Recompute => PlanState::Recompute(Box::new(Recompute {
-                output: executor.oneshot(pattern, &data, &config, &E::Faults::default())?,
-                last_update: UpdateStats::full_pass(data.node_count()),
-                executor,
-                pattern: pattern.clone(),
-                config,
-                data,
-            })),
-            UpdatePlan::Incremental => {
-                let mut service = QueryService::with_executor(data, executor);
-                service.try_register(pattern, config)?;
-                PlanState::Incremental(service)
-            }
-        };
-        Ok(IncrementalMatcher { plan })
-    }
-
-    /// The current data graph (after every applied delta), materialised flat.
-    ///
-    /// The incremental plan serves from an [`OverlayGraph`], so this merges the live
-    /// patches into a fresh CSR — an `O(|V|+|E|)` copy meant for oracles and tests, not
-    /// the serving path. Use [`IncrementalMatcher::overlay`] to inspect the substrate
-    /// without materialising.
-    pub fn data(&self) -> Graph {
-        match &self.plan {
-            PlanState::Incremental(service) => service.data(),
-            PlanState::Recompute(oracle) => oracle.data.clone(),
-        }
-    }
-
-    /// The versioned serving substrate; `None` on the recompute oracle plan, which keeps
-    /// a flat graph and rebuilds it per delta.
-    pub fn overlay(&self) -> Option<&OverlayGraph> {
-        match &self.plan {
-            PlanState::Incremental(service) => Some(service.published()),
-            PlanState::Recompute(_) => None,
-        }
-    }
-
-    /// The configuration the session runs under.
-    pub fn config(&self) -> &E::Config {
-        match &self.plan {
-            PlanState::Incremental(service) => service.config(SOLE_QUERY).expect(REGISTERED),
-            PlanState::Recompute(oracle) => &oracle.config,
-        }
-    }
-
-    /// The match result over the current graph.
-    pub fn output(&self) -> &E::Output {
-        match &self.plan {
-            PlanState::Incremental(service) => service.output(SOLE_QUERY).expect(REGISTERED),
-            PlanState::Recompute(oracle) => &oracle.output,
-        }
-    }
-
-    /// Work accounting of the most recent [`IncrementalMatcher::apply`] (or of the
-    /// initial run, where every ball is dirty by definition).
-    pub fn last_update(&self) -> &UpdateStats {
-        match &self.plan {
-            PlanState::Incremental(service) => service.last_update(SOLE_QUERY).expect(REGISTERED),
-            PlanState::Recompute(oracle) => &oracle.last_update,
-        }
-    }
-
-    /// Applies one validated batch of edge updates and refreshes the cached output.
-    ///
-    /// Returns the refreshed output; fails (leaving the session untouched) when the
-    /// delta does not validate against the current graph.
-    pub fn apply(&mut self, delta: &GraphDelta) -> Result<&E::Output, E::Error> {
-        self.apply_batch_with_faults(std::slice::from_ref(delta), &E::Faults::default())
-    }
-
-    /// [`IncrementalMatcher::apply`] under scripted faults
-    /// ([`QueryService::apply_with_faults`]).
-    pub fn apply_with_faults(
-        &mut self,
-        delta: &GraphDelta,
-        faults: &E::Faults,
-    ) -> Result<&E::Output, E::Error> {
-        self.apply_batch_with_faults(std::slice::from_ref(delta), faults)
-    }
-
-    /// Applies a batch of deltas as **one** maintenance step
-    /// ([`QueryService::apply_batch`]): the stream is composed into its net delta
-    /// ([`GraphDelta::then`]), so invalidation, fixpoint maintenance and the restricted
-    /// re-match are paid once per batch instead of once per delta. The result is
-    /// identical to applying the deltas one by one — the net delta produces the same
-    /// final graph, and the cached output only ever depends on the current graph.
-    ///
-    /// Each delta must validate against the graph its predecessors produce; a
-    /// mid-stream validation error leaves the session untouched. The recompute oracle
-    /// applies the stream sequentially and re-matches once at the end.
-    pub fn apply_batch(&mut self, deltas: &[GraphDelta]) -> Result<&E::Output, E::Error> {
-        self.apply_batch_with_faults(deltas, &E::Faults::default())
-    }
-
-    /// [`IncrementalMatcher::apply_batch`] under scripted faults.
-    pub fn apply_batch_with_faults(
-        &mut self,
-        deltas: &[GraphDelta],
-        faults: &E::Faults,
-    ) -> Result<&E::Output, E::Error> {
-        match &mut self.plan {
-            PlanState::Incremental(service) => {
-                service.apply_batch_with_faults(deltas, faults)?;
-            }
-            PlanState::Recompute(oracle) => {
-                let Recompute {
-                    executor,
-                    pattern,
-                    config,
-                    data,
-                    output,
-                    last_update,
-                } = &mut **oracle;
-                executor.admit(config, faults)?;
-                if let [first, rest @ ..] = deltas {
-                    let mut next = data.apply_delta(first)?;
-                    for d in rest {
-                        next = next.apply_delta(d)?;
-                    }
-                    // Every row is recomputed, so a previous degraded apply heals here
-                    // by construction.
-                    *output = executor.oneshot(pattern, &next, config, faults)?;
-                    *last_update = UpdateStats::full_pass(next.node_count());
-                    *data = next;
-                }
-            }
-        }
-        Ok(self.output())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strong::{strong_simulation, MatchOutput};
-    use ssim_graph::Label;
+    use crate::service::QueryService;
+    use crate::strong::{strong_simulation, MatchConfig, MatchOutput};
+    use ssim_graph::{Graph, Label};
 
     /// Chain data with alternating labels and a path pattern — small enough to reason
     /// about, rich enough that deltas move matches around.
@@ -860,16 +655,11 @@ mod tests {
                 ..MatchConfig::basic()
             },
         ] {
-            let mut inc = IncrementalMatcher::new(&pattern, data.clone(), config);
-            let mut ora = IncrementalMatcher::new(
-                &pattern,
-                data.clone(),
-                MatchConfig {
-                    update_plan: UpdatePlan::Recompute,
-                    ..config
-                },
-            );
-            assert_rows_equal(inc.output(), ora.output(), "initial");
+            let mut inc = QueryService::new(data.clone());
+            let id = inc.register(&pattern, config);
+            let mut flat = data.clone();
+            let ora = strong_simulation(&pattern, &flat, &config);
+            assert_rows_equal(inc.output(id).unwrap(), &ora, "initial");
             // Break the chain in the middle, then heal it elsewhere.
             let mut d1 = GraphDelta::new();
             d1.delete_edge(NodeId(4), NodeId(5));
@@ -877,10 +667,16 @@ mod tests {
             d2.insert_edge(NodeId(5), NodeId(4));
             for (i, delta) in [d1, d2].iter().enumerate() {
                 inc.apply(delta).unwrap();
-                ora.apply(delta).unwrap();
-                assert_rows_equal(inc.output(), ora.output(), &format!("step {i} {config:?}"));
+                flat = flat.apply_delta(delta).unwrap();
+                let ora = strong_simulation(&pattern, &flat, &config);
+                let ctx = format!("step {i} {config:?}");
+                assert_rows_equal(inc.output(id).unwrap(), &ora, &ctx);
                 let oneshot = strong_simulation(&pattern, &inc.data(), &config);
-                assert_rows_equal(inc.output(), &oneshot, &format!("vs one-shot {i}"));
+                assert_rows_equal(
+                    inc.output(id).unwrap(),
+                    &oneshot,
+                    &format!("vs one-shot {i}"),
+                );
             }
         }
     }
@@ -899,12 +695,9 @@ mod tests {
         )
         .unwrap();
         let config = MatchConfig::optimized();
-        let mut inc = IncrementalMatcher::new(&pattern, data.clone(), config);
-        let mut ora = IncrementalMatcher::new(
-            &pattern,
-            data,
-            config.with_update_plan(UpdatePlan::Recompute),
-        );
+        let mut inc = QueryService::new(data.clone());
+        let id = inc.register(&pattern, config);
+        let mut flat = data;
         let mut close_cycle = GraphDelta::new();
         close_cycle.insert_edge(NodeId(2), NodeId(0));
         let mut outside_gm = GraphDelta::new();
@@ -916,27 +709,29 @@ mod tests {
             (outside_gm, false, false),
             (open_cycle, true, true),
         ] {
-            let matched_before = inc.output().matched_nodes();
+            let matched_before = inc.output(id).unwrap().matched_nodes();
             inc.apply(&delta).unwrap();
-            ora.apply(&delta).unwrap();
-            let up = inc.last_update().clone();
-            assert_eq!(inc.output().matched_nodes(), matched_before);
+            flat = flat.apply_delta(&delta).unwrap();
+            let ora = strong_simulation(&pattern, &flat, &config);
+            let up = inc.last_update(id).unwrap().clone();
+            assert_eq!(inc.output(id).unwrap().matched_nodes(), matched_before);
             assert_eq!(up.pairs_gained + up.pairs_lost > 0, pairs_changed, "{up:?}");
             assert_eq!(up.gm_reextracted, reextracted, "{up:?}");
-            assert_rows_equal(inc.output(), ora.output(), &format!("{up:?}"));
+            assert_rows_equal(inc.output(id).unwrap(), &ora, &format!("{up:?}"));
         }
     }
 
     #[test]
     fn empty_delta_is_a_no_op() {
         let (pattern, data) = chain();
-        let mut inc = IncrementalMatcher::new(&pattern, data, MatchConfig::optimized());
-        let before = inc.output().clone();
+        let mut inc = QueryService::new(data);
+        let id = inc.register(&pattern, MatchConfig::optimized());
+        let before = inc.output(id).unwrap().clone();
         inc.apply(&GraphDelta::new()).unwrap();
-        assert_rows_equal(&before, inc.output(), "empty delta");
-        assert_eq!(inc.last_update().dirty_balls, 0);
+        assert_rows_equal(&before, inc.output(id).unwrap(), "empty delta");
+        assert_eq!(inc.last_update(id).unwrap().dirty_balls, 0);
         assert_eq!(
-            inc.last_update().clean_balls,
+            inc.last_update(id).unwrap().clean_balls,
             inc.data().node_count(),
             "every ball stays clean"
         );

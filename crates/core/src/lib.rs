@@ -9,8 +9,6 @@
 //! * **dual simulation** `Q ≺D G` — child- and parent-preserving matching ([`dual`]),
 //! * **strong simulation** `Q ≺LD G` — dual simulation confined to balls of radius `dQ`,
 //!   producing *perfect subgraphs* ([`strong`]),
-//! * **bounded simulation** — the Fan et al. 2010 extension with hop bounds on pattern
-//!   edges, provided for completeness ([`bounded`]),
 //! * **bisimulation** — the stronger, intractable-to-match notion discussed in Section 3.2
 //!   ([`bisimulation`]).
 //!
@@ -53,7 +51,6 @@
 
 pub mod ball;
 pub mod bisimulation;
-pub mod bounded;
 pub mod dual;
 pub mod dual_filter;
 pub mod gm;
@@ -72,7 +69,7 @@ pub mod topology;
 pub use ball::BallSubstrate;
 pub use dual::{dual_simulates, dual_simulation, dual_simulation_with};
 pub use gm::GmSubstrate;
-pub use incremental::{IncrementalMatcher, PreparedGlobal, UpdatePlan, UpdateStats};
+pub use incremental::{PreparedGlobal, UpdateStats};
 pub use match_graph::{MatchGraph, PerfectSubgraph};
 pub use minimize::minimize_pattern;
 pub use relation::MatchRelation;

@@ -6,8 +6,8 @@
 //! applications, N edge-ball sweeps and N region extractions per update, even though
 //! every one of those is a pure function of the *shared* graph. [`QueryService`]
 //! collapses the redundancy without giving up the per-pattern bit-identity contract.
-//! It is the only registry and the only apply: a private
-//! [`crate::incremental::IncrementalMatcher`] session is a one-query service, and the
+//! It is the only registry and the only apply — the one front-end for maintained
+//! matching: a session over one pattern is a service holding one query, and the
 //! distributed service is this service on a partitioned [`Executor`]. The executor is
 //! the one part that differs — where a query's balls run: the [`Local`] executor's
 //! pass runs them on this process's threads (with region extraction and the dirty
@@ -23,7 +23,7 @@
 //!    pre-update graph and the inserted edges on the post-update graph) depend only on
 //!    `(graph, delta, radius)`. The service runs them **once per distinct radius** and
 //!    routes the result into every pattern's dirty set; patterns on the `Gm` substrate
-//!    sweep their own cached extractions exactly as a private session would.
+//!    sweep their own cached extractions exactly as a one-query service would.
 //! 3. **Shared-work scheduling.** Per apply, one [`SubstrateCache`] memoises the flat
 //!    materialisation of the overlay and each `(radius, dirty)` region extraction
 //!    across the per-pattern passes, and at registration a query whose
@@ -34,7 +34,7 @@
 //!    sets, so their sweeps and region extractions collapse to one.
 //! 4. **Bit-identity.** Every shared value is a pure function of inputs a one-query
 //!    service would compute for itself, so each query's [`MatchOutput`] — rows *and*
-//!    stats — is bit-identical to a private session fed the same deltas, and its rows
+//!    stats — is bit-identical to a one-query service fed the same deltas, and its rows
 //!    equal a one-shot [`crate::strong::strong_simulation`] on the current graph.
 //!    `tests/service_equivalence.rs` pins both property-style.
 //!
@@ -238,16 +238,6 @@ pub trait Executor {
         faults: &Self::Faults,
     ) -> Result<Self::Output, Self::Error>;
 
-    /// A from-scratch run over a flat graph, with no maintained state: the recompute
-    /// oracle of [`crate::incremental::IncrementalMatcher`].
-    fn oneshot(
-        &self,
-        pattern: &Pattern,
-        data: &Graph,
-        config: &Self::Config,
-        faults: &Self::Faults,
-    ) -> Result<Self::Output, Self::Error>;
-
     /// The rows of an output, in ascending center order.
     fn rows_mut<'o>(&self, output: &'o mut Self::Output) -> &'o mut Vec<PerfectSubgraph>;
 
@@ -255,8 +245,14 @@ pub trait Executor {
     /// nodes; the work counters keep describing the most recent pass.
     fn refresh(&self, output: &mut Self::Output, nodes: usize);
 
-    /// Rejects, before an apply moves any state, faults a query cannot run under.
-    fn admit(&self, _config: &Self::Config, _faults: &Self::Faults) -> Result<(), Self::Error> {
+    /// Rejects, before a registration or an apply moves any state, a configuration
+    /// that cannot run over a graph of `nodes` nodes or faults it cannot run under.
+    fn admit(
+        &self,
+        _config: &Self::Config,
+        _faults: &Self::Faults,
+        _nodes: usize,
+    ) -> Result<(), Self::Error> {
         Ok(())
     }
 
@@ -309,16 +305,6 @@ impl Executor for Local {
         _: &(),
     ) -> Result<MatchOutput, GraphError> {
         Ok(run_pattern_pass(query, data, dirty, cache))
-    }
-
-    fn oneshot(
-        &self,
-        pattern: &Pattern,
-        data: &Graph,
-        config: &MatchConfig,
-        _: &(),
-    ) -> Result<MatchOutput, GraphError> {
-        Ok(crate::strong::strong_simulation(pattern, data, config))
     }
 
     fn rows_mut<'o>(&self, output: &'o mut MatchOutput) -> &'o mut Vec<PerfectSubgraph> {
@@ -385,7 +371,7 @@ impl<E: Executor> Session<E> {
 pub struct QueryUpdate {
     /// The query the stats belong to.
     pub id: QueryId,
-    /// The same accounting a private session's `last_update()` would report.
+    /// The same accounting a one-query service's `last_update()` would report.
     pub stats: UpdateStats,
 }
 
@@ -460,20 +446,21 @@ impl<E: Executor> QueryService<E> {
     }
 
     /// Registers a standing query and runs its initial match over the current graph.
-    /// Fails when the executor rejects the configuration.
+    /// Fails, before any work, when the executor rejects the configuration
+    /// ([`Executor::admit`]).
     ///
-    /// The update plan of the executor's [`MatchConfig`] is ignored: the service *is* the
-    /// incremental plan (the recompute oracle exists as N independent sessions, which
-    /// is exactly what the differential suite runs). If an already-registered query has
-    /// the same pattern and shape-relevant configuration, its maintained state is
-    /// cloned instead of recomputing the global fixpoint — bit-identical by purity,
-    /// cheaper by one fixpoint and one `Gm` extraction.
+    /// If an already-registered query has the same pattern and shape-relevant
+    /// configuration, its maintained state is cloned instead of recomputing the global
+    /// fixpoint — bit-identical by purity, cheaper by one fixpoint and one `Gm`
+    /// extraction.
     pub fn try_register(
         &mut self,
         pattern: &Pattern,
         config: E::Config,
     ) -> Result<QueryId, E::Error> {
         let data = self.substrate.published();
+        self.executor
+            .admit(&config, &E::Faults::default(), data.node_count())?;
         let shape = self.executor.match_config(&config);
         let state = self.reusable_state(pattern, &shape).unwrap_or_else(|| {
             PatternState::new(
@@ -605,11 +592,6 @@ impl<E: Executor> QueryService<E> {
         self.substrate.published().to_graph()
     }
 
-    /// The published substrate version.
-    pub(crate) fn published(&self) -> &OverlayGraph {
-        self.substrate.published()
-    }
-
     /// Groups the live queries by *overlapping* label signatures (transitively: two
     /// queries sharing any label land in one group, and a third overlapping either
     /// joins them). Groups are where cross-pattern sharing concentrates — same-radius
@@ -676,8 +658,9 @@ impl<E: Executor> QueryService<E> {
         deltas: &[GraphDelta],
         faults: &E::Faults,
     ) -> Result<ServiceUpdate, E::Error> {
+        let nodes = self.substrate.published().node_count();
         for sess in self.sessions.iter().flatten() {
-            self.executor.admit(&sess.config, faults)?;
+            self.executor.admit(&sess.config, faults, nodes)?;
         }
         let Some(delta) = fold_batch(self.substrate.published(), deltas)? else {
             return Ok(ServiceUpdate {
@@ -1046,7 +1029,6 @@ fn deduped_copy(rows: &[PerfectSubgraph]) -> Vec<PerfectSubgraph> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::incremental::IncrementalMatcher;
 
     fn chain_data() -> Graph {
         let labels: Vec<Label> = (0..12u32).map(|i| Label(i % 2)).collect();
@@ -1105,14 +1087,18 @@ mod tests {
             .iter()
             .map(|p| service.register(p, config))
             .collect();
-        let mut oracles: Vec<IncrementalMatcher> = patterns
+        let mut oracles: Vec<(QueryService, QueryId)> = patterns
             .iter()
-            .map(|p| IncrementalMatcher::new(p, data.clone(), config))
+            .map(|p| {
+                let mut oracle = QueryService::new(data.clone());
+                let id = oracle.register(p, config);
+                (oracle, id)
+            })
             .collect();
-        for (id, oracle) in ids.iter().zip(&oracles) {
+        for (id, (oracle, sole)) in ids.iter().zip(&oracles) {
             assert_eq!(
                 service.output(*id).unwrap(),
-                oracle.output(),
+                oracle.output(*sole).unwrap(),
                 "initial output"
             );
         }
@@ -1125,12 +1111,16 @@ mod tests {
         // so the shared data-edge sweep plane stays idle.
         assert_eq!(update.sharing.edge_sweep_radii, 0);
         assert_eq!(update.sharing.edge_sweep_consumers, 0);
-        for (id, oracle) in ids.iter().zip(oracles.iter_mut()) {
+        for (id, (oracle, sole)) in ids.iter().zip(oracles.iter_mut()) {
             oracle.apply(&delta).unwrap();
-            assert_eq!(service.output(*id).unwrap(), oracle.output(), "post-delta");
+            assert_eq!(
+                service.output(*id).unwrap(),
+                oracle.output(*sole).unwrap(),
+                "post-delta"
+            );
             assert_eq!(
                 service.last_update(*id).unwrap(),
-                oracle.last_update(),
+                oracle.last_update(*sole).unwrap(),
                 "per-query stats"
             );
         }

@@ -45,7 +45,7 @@ use crate::ball::BallSubstrate;
 use crate::dual::{dual_simulation_with, refine_dual_with};
 use crate::dual_filter::refine_projected;
 use crate::gm::{match_gm_ball, GmSubstrate};
-use crate::incremental::{PatternState, PreparedGlobal, UpdatePlan};
+use crate::incremental::{PatternState, PreparedGlobal};
 use crate::match_graph::{extract_max_perfect_subgraph, PerfectSubgraph};
 use crate::minimize::minimize_pattern;
 use crate::parallel::{
@@ -92,12 +92,7 @@ pub struct MatchConfig {
     /// (the pre-extraction behaviour, kept as the equivalence oracle). Ignored without
     /// `dual_filter` — there is no `Gm` to extract.
     pub ball_substrate: BallSubstrate,
-    /// How [`crate::incremental::IncrementalMatcher`] reacts to graph deltas: maintain
-    /// the cached state under the update and re-run only the dirty balls (the default)
-    /// or recompute the whole match from scratch (the equivalence oracle). One-shot
-    /// [`strong_simulation`] calls ignore the axis — there is no cached state to update.
-    pub update_plan: UpdatePlan,
-    /// How equal-labelled pattern nodes may be realised by data nodes — the fourth oracle
+    /// How equal-labelled pattern nodes may be realised by data nodes — the third oracle
     /// axis. [`RepetitionSemantics::Free`] is the paper's behaviour (and the seed
     /// reference); `Distinct`/`Equal` run the per-ball repetition closure of
     /// [`crate::repetition`] after refinement converges (subject to its budget/bail
@@ -123,7 +118,6 @@ impl Default for MatchConfig {
             parallel: true,
             thread_limit: None,
             ball_substrate: BallSubstrate::MatchGraph,
-            update_plan: UpdatePlan::Incremental,
             repetition: RepetitionSemantics::Free,
             repetition_mode: RepetitionMode::Integrated,
         }
@@ -146,15 +140,13 @@ impl MatchConfig {
         }
     }
 
-    /// The seed's engine shape: naive fixpoint refinement, sequential, full-graph balls,
-    /// recompute on update. Used by benches as the speedup baseline and by tests as an
-    /// oracle.
+    /// The seed's engine shape: naive fixpoint refinement, sequential, full-graph balls.
+    /// Used by benches as the speedup baseline and by tests as an oracle.
     pub fn seed_reference() -> Self {
         MatchConfig {
             refine_strategy: RefineStrategy::NaiveFixpoint,
             parallel: false,
             ball_substrate: BallSubstrate::FullGraph,
-            update_plan: UpdatePlan::Recompute,
             ..Self::default()
         }
     }
@@ -194,12 +186,6 @@ impl MatchConfig {
     /// Selects which graph the ball pipeline traverses under `dual_filter`.
     pub fn with_ball_substrate(mut self, substrate: BallSubstrate) -> Self {
         self.ball_substrate = substrate;
-        self
-    }
-
-    /// Selects how the incremental matcher reacts to graph deltas.
-    pub fn with_update_plan(mut self, plan: UpdatePlan) -> Self {
-        self.update_plan = plan;
         self
     }
 

@@ -25,14 +25,12 @@
 
 pub mod error;
 pub mod fault;
-pub mod incremental;
 pub mod partition;
 pub mod runtime;
 pub mod service;
 
 pub use error::DistError;
 pub use fault::{FaultAction, FaultPlan, RecoveryPolicy, RecoveryStats};
-pub use incremental::IncrementalDistributed;
 pub use partition::{GraphPartition, PartitionStrategy};
 pub use runtime::{
     distributed_strong_simulation, distributed_with_faults, DistributedConfig, DistributedOutput,

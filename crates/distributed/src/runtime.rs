@@ -48,7 +48,7 @@ use crate::error::DistError;
 use crate::fault::{FaultAction, FaultPlan, RecoveryPolicy, RecoveryStats};
 use crate::partition::{GraphPartition, PartitionStrategy};
 use ssim_core::ball::BallSubstrate;
-use ssim_core::incremental::{PatternState, UpdatePlan};
+use ssim_core::incremental::PatternState;
 use ssim_core::match_graph::PerfectSubgraph;
 use ssim_core::parallel::{
     chunk_plan, effective_workers, panic_message, par_workers, StealScheduler,
@@ -76,11 +76,6 @@ pub struct DistributedConfig {
     /// coordinator-extracted match graph `Gm` (each site walks its own slice of `Gm`) or
     /// the full data graph. Ignored without `dual_filter`.
     pub ball_substrate: BallSubstrate,
-    /// How [`crate::incremental::IncrementalDistributed`] reacts to graph deltas:
-    /// coordinator-side state maintenance with per-site dirty-ball routing (the
-    /// default) or a full recompute (the equivalence oracle). One-shot
-    /// [`distributed_strong_simulation`] calls ignore the axis.
-    pub update_plan: UpdatePlan,
     /// How equal-labelled pattern nodes may be realised by data nodes — the distributed
     /// mirror of `MatchConfig::repetition`. Sites run the per-ball repetition closure
     /// locally before emitting, so the union equals the centralized result under every
@@ -104,7 +99,6 @@ impl Default for DistributedConfig {
             minimize_query: true,
             dual_filter: false,
             ball_substrate: BallSubstrate::MatchGraph,
-            update_plan: UpdatePlan::Incremental,
             repetition: RepetitionSemantics::Free,
             repetition_mode: RepetitionMode::Integrated,
             recovery: None,
@@ -133,9 +127,8 @@ impl DistributedConfig {
     }
 
     /// The engine configuration the coordinator plans under and the sites evaluate
-    /// their balls with: this configuration's query-level switches and update plan on
-    /// plain `Match` — the pattern's own radius, worklist refinement and no
-    /// connectivity pruning.
+    /// their balls with: this configuration's query-level switches on plain `Match` —
+    /// the pattern's own radius, worklist refinement and no connectivity pruning.
     /// [`ssim_core::strong::strong_simulation`] under it yields the same rows, with
     /// relations over the original rather than the minimised pattern.
     pub fn match_config(&self) -> MatchConfig {
@@ -145,7 +138,6 @@ impl DistributedConfig {
             ball_substrate: self.ball_substrate,
             repetition: self.repetition,
             repetition_mode: self.repetition_mode,
-            update_plan: self.update_plan,
             ..MatchConfig::basic()
         }
     }

@@ -7,19 +7,18 @@
 //!
 //! * **substrate** — per-delta microseconds for the overlay apply vs the flat rebuild,
 //!   plus the compaction count and the live overlay fraction after the stream;
-//! * **engine** — wall-clock for an [`IncrementalMatcher`] session absorbing the stream
-//!   (per delta, and folded into batches through `apply_batch`) against the
-//!   [`UpdatePlan::Recompute`] oracle, with the dirty-ball fraction that drives the
-//!   difference.
+//! * **engine** — wall-clock for a one-query [`QueryService`] absorbing the stream
+//!   (per delta, and folded into batches through `apply_batch`) against the recompute
+//!   oracle — the flat graph advanced with `Graph::apply_delta` and the one-shot matcher
+//!   re-run per batch — with the dirty-ball fraction that drives the difference.
 //!
 //! Every row cross-checks the session rows against a one-shot match on the final graph,
 //! so the numbers are only reported for bit-identical outputs.
 
 use crate::scale::ExperimentScale;
 use crate::workloads::{experiment_pattern, DatasetKind};
-use ssim_core::incremental::IncrementalMatcher;
+use ssim_core::service::QueryService;
 use ssim_core::strong::{strong_simulation, MatchConfig};
-use ssim_core::UpdatePlan;
 use ssim_graph::{Graph, GraphDelta, OverlayGraph};
 use std::time::Instant;
 
@@ -104,33 +103,31 @@ pub fn update_streams(dataset: DatasetKind, scale: &ExperimentScale) -> Vec<Upda
         assert!(flat == overlay.to_graph(), "substrates diverged");
         // Engine layer: session vs oracle, per-delta and batched.
         for batch in [1usize, 3] {
-            let mut inc = IncrementalMatcher::new(
-                &pattern,
-                data.clone(),
-                config.with_update_plan(UpdatePlan::Incremental),
-            );
+            let mut inc = QueryService::new(data.clone());
+            let id = inc.register(&pattern, config);
             let mut dirty = 0usize;
             let start = Instant::now();
             for chunk in stream.chunks(batch) {
                 inc.apply_batch(chunk).expect("stream validates");
-                dirty += inc.last_update().dirty_balls;
+                dirty += inc.last_update(id).expect("registered").dirty_balls;
             }
             let incremental_secs = start.elapsed().as_secs_f64();
             let applies = stream.len().div_ceil(batch);
             let dirty_fraction = dirty as f64 / (applies * data.node_count()).max(1) as f64;
-            let mut rec = IncrementalMatcher::new(
-                &pattern,
-                data.clone(),
-                config.with_update_plan(UpdatePlan::Recompute),
-            );
+            let mut rec_graph = data.clone();
+            let mut rec = None;
             let start = Instant::now();
             for chunk in stream.chunks(batch) {
-                rec.apply_batch(chunk).expect("stream validates");
+                for delta in chunk {
+                    rec_graph = rec_graph.apply_delta(delta).expect("stream validates");
+                }
+                rec = Some(strong_simulation(&pattern, &rec_graph, &config));
             }
             let recompute_secs = start.elapsed().as_secs_f64();
             let oneshot = strong_simulation(&pattern, &flat, &config);
-            let matches_oneshot = inc.output().subgraphs == oneshot.subgraphs
-                && rec.output().subgraphs == oneshot.subgraphs;
+            let matches_oneshot = inc.output(id).expect("registered").subgraphs
+                == oneshot.subgraphs
+                && rec.is_some_and(|rec| rec.subgraphs == oneshot.subgraphs);
             rows.push(UpdateRow {
                 churn,
                 churn_edges,

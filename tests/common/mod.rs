@@ -1,27 +1,29 @@
-//! Shared generators, assertion helpers and the four-axis oracle-matrix driver for the
+//! Shared generators, assertion helpers and the three-axis oracle-matrix driver for the
 //! workspace equivalence suites.
 //!
 //! Every `tests/*_equivalence.rs` suite used to carry its own copy of the edge-soup
 //! data-graph strategy, the connected-pattern strategy and the raw-word delta builder;
 //! they live here once now, parameterised where the suites' ranges differed. The matrix
 //! driver below is the repetition axis's differential harness: it decodes a *random
-//! point* of the full oracle matrix (`RefineStrategy` × `BallSubstrate` × `UpdatePlan` ×
+//! point* of the full oracle matrix (`RefineStrategy` × `BallSubstrate` ×
 //! `RepetitionSemantics`) from raw generator words and pits the integrated repetition
 //! path against the naive per-ball oracle at that point — sequential, parallel and
-//! distributed, before and after a `GraphDelta`.
+//! distributed, one-shot and maintained by a `QueryService`, before and after a
+//! `GraphDelta`.
 
 // Each integration test compiles this module separately and uses its own subset.
 #![allow(dead_code)]
 
 use proptest::prelude::*;
-use ssim_core::incremental::IncrementalMatcher;
 use ssim_core::match_graph::PerfectSubgraph;
 use ssim_core::minimize::minimize_pattern;
+use ssim_core::service::QueryService;
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
-use ssim_core::{BallSubstrate, RefineStrategy, RepetitionMode, RepetitionSemantics, UpdatePlan};
+use ssim_core::{BallSubstrate, RefineStrategy, RepetitionMode, RepetitionSemantics};
 use ssim_datasets::patterns::{random_pattern, PatternGenConfig};
 use ssim_distributed::{
-    distributed_strong_simulation, DistributedConfig, IncrementalDistributed, PartitionStrategy,
+    distributed_strong_simulation, DistributedConfig, DistributedQueryService, PartitionStrategy,
+    Partitioned,
 };
 use ssim_graph::{Graph, GraphDelta, Label, NodeId, Pattern};
 
@@ -196,8 +198,8 @@ pub fn assert_bit_identical(a: &MatchOutput, b: &MatchOutput, context: &str) -> 
 /// Decodes one point of the *shape* axes from a raw generator word: `Match` or `Match+`
 /// (bit 0), refine strategy (bit 1), ball substrate (bit 2, riding on the dual filter)
 /// and thread count (bits 3–4). Bit 5 picks the distributed partition strategy in
-/// [`check_matrix_point`]. The repetition axis and the update plan are supplied by the
-/// caller — the matrix driver runs both repetition modes at the decoded point.
+/// [`check_matrix_point`]. The repetition axis is supplied by the caller — the matrix
+/// driver runs both repetition modes at the decoded point.
 pub fn matrix_config(bits: u64) -> MatchConfig {
     let mut config = if bits & 1 == 0 {
         MatchConfig::basic()
@@ -230,8 +232,8 @@ pub fn matrix_semantics(bits: u64) -> RepetitionSemantics {
 
 /// The repetition axis's differential harness at one sampled matrix point: the integrated
 /// repetition path and the naive per-ball oracle must produce bit-identical
-/// `MatchOutput`s — one-shot and through an incremental session across `delta` — and
-/// bit-identical distributed subgraph sets. `Free` points double as a regression check
+/// `MatchOutput`s — one-shot before and after `delta`, and maintained across it by a
+/// `QueryService` — and bit-identical distributed subgraph sets. `Free` points double as a regression check
 /// (both modes must equal the axis-less output bit for bit).
 pub fn check_matrix_point(
     q: &Pattern,
@@ -251,23 +253,29 @@ pub fn check_matrix_point(
     let b = strong_simulation(q, data, &naive);
     assert_bit_identical(&a, &b, &format!("{context}: one-shot"))?;
 
-    // Incremental session across the delta, both update plans.
-    for plan in [UpdatePlan::Incremental, UpdatePlan::Recompute] {
-        let mut ia = IncrementalMatcher::new(q, data.clone(), integrated.with_update_plan(plan));
-        let mut ib = IncrementalMatcher::new(q, data.clone(), naive.with_update_plan(plan));
-        assert_bit_identical(
-            ia.output(),
-            ib.output(),
-            &format!("{context}: {plan:?} pre-delta"),
-        )?;
-        ia.apply(delta).expect("delta validates");
-        ib.apply(delta).expect("delta validates");
-        assert_bit_identical(
-            ia.output(),
-            ib.output(),
-            &format!("{context}: {plan:?} post-delta"),
-        )?;
-    }
+    // Maintained across the delta by one service per mode.
+    let mut sa = QueryService::new(data.clone());
+    let ia = sa.register(q, integrated);
+    let mut sb = QueryService::new(data.clone());
+    let ib = sb.register(q, naive);
+    assert_bit_identical(
+        sa.output(ia).expect("registered"),
+        sb.output(ib).expect("registered"),
+        &format!("{context}: maintained pre-delta"),
+    )?;
+    sa.apply(delta).expect("delta validates");
+    sb.apply(delta).expect("delta validates");
+    assert_bit_identical(
+        sa.output(ia).expect("registered"),
+        sb.output(ib).expect("registered"),
+        &format!("{context}: maintained post-delta"),
+    )?;
+
+    // Recomputed: the one-shot matcher on the updated flat graph.
+    let updated = data.apply_delta(delta).expect("delta validates");
+    let ra = strong_simulation(q, &updated, &integrated);
+    let rb = strong_simulation(q, &updated, &naive);
+    assert_bit_identical(&ra, &rb, &format!("{context}: recomputed post-delta"))?;
 
     // Distributed runtime: identical subgraph sets and traffic (minus steal timing).
     let dist = DistributedConfig {
@@ -306,22 +314,24 @@ pub fn check_matrix_point(
     tb.chunks_stolen = 0;
     prop_assert!(ta == tb, "{context}: distributed traffic differs");
 
-    // Distributed incremental session across the same delta.
-    let mut dia =
-        IncrementalDistributed::new(q, data.clone(), dist).expect("valid distributed config");
-    let mut dib = IncrementalDistributed::new(
-        q,
-        data.clone(),
-        DistributedConfig {
-            repetition_mode: RepetitionMode::NaiveOracle,
-            ..dist
-        },
-    )
-    .expect("valid distributed config");
-    dia.apply(delta).expect("delta validates");
-    dib.apply(delta).expect("delta validates");
+    // Distributed, maintained across the same delta.
+    let mut dsa = DistributedQueryService::with_executor(data.clone(), Partitioned);
+    let dia = dsa.try_register(q, dist).expect("valid distributed config");
+    let mut dsb = DistributedQueryService::with_executor(data.clone(), Partitioned);
+    let dib = dsb
+        .try_register(
+            q,
+            DistributedConfig {
+                repetition_mode: RepetitionMode::NaiveOracle,
+                ..dist
+            },
+        )
+        .expect("valid distributed config");
+    dsa.apply(delta).expect("delta validates");
+    dsb.apply(delta).expect("delta validates");
     prop_assert!(
-        dia.output().subgraphs == dib.output().subgraphs,
+        dsa.output(dia).expect("registered").subgraphs
+            == dsb.output(dib).expect("registered").subgraphs,
         "{context}: distributed post-delta subgraphs differ"
     );
     Ok(())

@@ -20,7 +20,7 @@ use ssim_core::parallel::{chunk_plan, contiguous, stripe};
 use ssim_core::relation::MatchRelation;
 use ssim_core::simulation::{dual_candidates, graph_simulation_with};
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
-use ssim_core::{BallSubstrate, IncrementalMatcher, RefineStrategy, UpdatePlan};
+use ssim_core::{BallSubstrate, QueryService, RefineStrategy};
 use ssim_graph::{CompactionPolicy, Graph, OverlayGraph, Pattern};
 
 /// This suite stretches the shared generators a little wider than the default ranges:
@@ -160,8 +160,8 @@ proptest! {
 
 /// One configuration per engine oracle axis (both poles where they differ from the
 /// bases): `RefineStrategy` and `BallSubstrate` on top of the plain and fully optimised
-/// bases. The `UpdatePlan` axis only acts through the incremental session and is covered
-/// by `updated_output_is_bit_identical_across_threads`.
+/// bases. Maintained matching is covered by
+/// `updated_output_is_bit_identical_across_threads`.
 fn axis_configs() -> Vec<MatchConfig> {
     vec![
         MatchConfig::basic(),
@@ -211,10 +211,10 @@ proptest! {
         }
     }
 
-    /// The `UpdatePlan` oracle axis: incremental sessions inherit the chunk
-    /// scheduler through the prepared entry points, so the post-update output is
-    /// bit-identical across thread counts for both the incremental plan and the
-    /// recompute oracle.
+    /// Maintained queries inherit the chunk scheduler through the prepared entry
+    /// points, so the post-update output of a `QueryService` is bit-identical across
+    /// thread counts, and so is the recompute oracle's (the one-shot matcher on the
+    /// updated flat graph).
     #[test]
     fn updated_output_is_bit_identical_across_threads(
         data in data_graph(),
@@ -222,21 +222,27 @@ proptest! {
         picks in proptest::collection::vec(any::<u64>(), 1..6),
     ) {
         let delta = random_delta(&data, &picks);
-        for plan in [UpdatePlan::Incremental, UpdatePlan::Recompute] {
-            let base = MatchConfig::optimized().with_update_plan(plan);
-            let mut reference =
-                IncrementalMatcher::new(&q, data.clone(), base.with_thread_limit(1));
-            reference.apply(&delta).expect("delta validates");
-            for threads in [2usize, 4, 8] {
-                let mut session =
-                    IncrementalMatcher::new(&q, data.clone(), base.with_thread_limit(threads));
-                session.apply(&delta).expect("delta validates");
-                assert_bit_identical(
-                    session.output(),
-                    reference.output(),
-                    "post-update thread-count bit-identity",
-                )?;
-            }
+        let base = MatchConfig::optimized();
+        let maintained = |threads: usize| {
+            let mut service = QueryService::new(data.clone());
+            let id = service.register(&q, base.with_thread_limit(threads));
+            service.apply(&delta).expect("delta validates");
+            service.output(id).expect("registered").clone()
+        };
+        let updated = data.apply_delta(&delta).expect("delta validates");
+        let reference = maintained(1);
+        let recomputed = strong_simulation(&q, &updated, &base.with_thread_limit(1));
+        for threads in [2usize, 4, 8] {
+            assert_bit_identical(
+                &maintained(threads),
+                &reference,
+                "post-update thread-count bit-identity",
+            )?;
+            assert_bit_identical(
+                &strong_simulation(&q, &updated, &base.with_thread_limit(threads)),
+                &recomputed,
+                "recomputed thread-count bit-identity",
+            )?;
         }
     }
 }

@@ -7,8 +7,8 @@
 //!   budget) complete with output **bit-identical** to the fault-free run — same
 //!   subgraphs, same traffic up to the scheduling-dependent `chunks_stolen` and the
 //!   recovery trace — and agree with the centralized matcher (sequential and parallel,
-//!   both refine strategies), before and after a `GraphDelta`, one-shot and through
-//!   incremental sessions.
+//!   both refine strategies), before and after a `GraphDelta`, one-shot and maintained
+//!   by a `DistributedQueryService`.
 //! * **Unrecoverable schedules** degrade exactly: `covered_balls + lost_balls == |V|`,
 //!   the lost centers are reported, and the surviving subgraphs are precisely the
 //!   fault-free rows minus the lost centers (a subset, pinned sharply).
@@ -25,7 +25,7 @@ use ssim_core::strong::{strong_simulation, MatchConfig};
 use ssim_core::RefineStrategy;
 use ssim_distributed::{
     distributed_strong_simulation, distributed_with_faults, DistError, DistributedConfig,
-    FaultPlan, IncrementalDistributed, RecoveryPolicy, RecoveryStats, TrafficStats,
+    DistributedQueryService, FaultPlan, Partitioned, RecoveryPolicy, RecoveryStats, TrafficStats,
 };
 use ssim_graph::NodeId;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -133,19 +133,20 @@ proptest! {
             normalized(&recovered_post.traffic)
         );
 
-        // Incremental sessions: the chaotic session takes the faults mid-apply and must
-        // still track the clean session bit for bit.
-        let mut clean = IncrementalDistributed::new(&q, data.clone(), config)
-            .expect("valid distributed config");
-        let mut chaotic = IncrementalDistributed::new(&q, data.clone(), config)
-            .expect("valid distributed config");
+        // Maintained queries: the chaotic service takes the faults mid-apply and must
+        // still track the clean service bit for bit.
+        let mut clean = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let clean_id = clean.try_register(&q, config).expect("valid distributed config");
+        let mut chaotic = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let chaotic_id = chaotic.try_register(&q, config).expect("valid distributed config");
         clean.apply(&delta).expect("delta validates");
         chaotic.apply_with_faults(&delta, &plan).expect("recoverable plan completes");
-        prop_assert!(chaotic.output().lost_centers.is_empty());
-        prop_assert_eq!(&clean.output().subgraphs, &chaotic.output().subgraphs);
+        let (clean, chaotic) = (clean.output(clean_id).unwrap(), chaotic.output(chaotic_id).unwrap());
+        prop_assert!(chaotic.lost_centers.is_empty());
+        prop_assert_eq!(&clean.subgraphs, &chaotic.subgraphs);
         prop_assert_eq!(
-            normalized(&clean.output().traffic),
-            normalized(&chaotic.output().traffic)
+            normalized(&clean.traffic),
+            normalized(&chaotic.traffic)
         );
     }
 
@@ -288,12 +289,13 @@ proptest! {
                 }
                 Err(_) => prop_assert!(false, "ungated entry point panicked"),
             }
-            // Incremental session taking the faults mid-apply.
+            // A maintained query taking the faults mid-apply.
             let session = catch_unwind(AssertUnwindSafe(|| {
-                let mut inc = IncrementalDistributed::new(&q, data.clone(), supervised)?;
+                let mut inc = DistributedQueryService::with_executor(data.clone(), Partitioned);
+                inc.try_register(&q, supervised)?;
                 inc.apply_with_faults(&delta, plan).map(|_| ())
             }));
-            prop_assert!(session.is_ok(), "incremental session panicked");
+            prop_assert!(session.is_ok(), "maintained query panicked");
         }
     }
 }
@@ -366,9 +368,11 @@ fn config_errors_are_typed_not_panics() {
         let result = caught.expect("validation must not panic");
         assert_eq!(result.unwrap_err(), expected);
         let session = catch_unwind(AssertUnwindSafe(|| {
-            IncrementalDistributed::new(&q, data.clone(), config).map(|_| ())
+            DistributedQueryService::with_executor(data.clone(), Partitioned)
+                .try_register(&q, config)
+                .map(|_| ())
         }));
-        let result = session.expect("session construction must not panic");
+        let result = session.expect("registration must not panic");
         assert_eq!(result.unwrap_err(), expected);
     }
 }

@@ -1,21 +1,22 @@
 //! Differential properties of incremental matching under graph updates
 //! ([`ssim_core::incremental`]).
 //!
-//! [`UpdatePlan::Incremental`] maintains the global dual-simulation fixpoint across a
+//! A [`QueryService`] maintains the global dual-simulation fixpoint across a
 //! [`GraphDelta`], invalidates only the balls within substrate distance `dQ` of a
 //! touched node (Prop. 3 locality) and splices their fresh rows into the cached output.
-//! The maximum relation and every per-ball result are unique, so the plan must be
-//! *bit-identical* to the [`UpdatePlan::Recompute`] oracle. These properties pin it at
-//! three layers:
+//! The maximum relation and every per-ball result are unique, so the maintained rows
+//! must be *bit-identical* to the recompute oracle: the one-shot matcher on a flat
+//! [`Graph`] advanced independently with `Graph::apply_delta`. These properties pin it
+//! at three layers:
 //!
 //! * **relation layer** — after every delta, the maintained global fixpoint (deletion
 //!   suspect cascades + insertion re-admission closure) equals a from-scratch fixpoint
 //!   over the updated graph, on arbitrary edge-soup graphs;
 //! * **match layer** — along random delta streams over the workload generators, the
-//!   incremental session's `MatchOutput` rows are bit-identical to the recompute
-//!   oracle's and to a one-shot `strong_simulation` on the updated graph, with the
-//!   other engine axes (`RefineStrategy × BallSubstrate`) pinned at their defaults AND
-//!   composed into every oracle shape;
+//!   maintained `MatchOutput` rows are bit-identical to the recompute oracle's and to a
+//!   one-shot `strong_simulation` on the service's own graph, with the other engine
+//!   axes (`RefineStrategy × BallSubstrate`) pinned at their defaults AND composed into
+//!   every oracle shape;
 //! * **distributed layer** — the coordinator's per-site dirty-ball routing returns the
 //!   same rows as a distributed recompute, and `dirty_balls + clean_balls == |V|`.
 //!
@@ -29,16 +30,19 @@ mod common;
 use common::{data_graph, pattern, random_delta};
 use proptest::prelude::*;
 use ssim_core::ball::BallSubstrate;
-use ssim_core::incremental::{global_fixpoint, update_global_fixpoint, IncrementalMatcher};
+use ssim_core::incremental::{global_fixpoint, update_global_fixpoint};
+use ssim_core::service::QueryService;
 use ssim_core::simulation::RefineStrategy;
 use ssim_core::strong::{strong_simulation, MatchConfig, MatchOutput};
-use ssim_core::UpdatePlan;
-use ssim_distributed::{DistributedConfig, IncrementalDistributed, PartitionStrategy};
+use ssim_distributed::{
+    distributed_strong_simulation, DistributedConfig, DistributedQueryService, PartitionStrategy,
+    Partitioned,
+};
 use ssim_experiments::workloads::{experiment_pattern, DatasetKind};
 use ssim_graph::{Graph, GraphDelta, Label, NodeId, Pattern};
 
 /// Asserts two match outputs agree on every subgraph bit. Work stats are excluded by
-/// design: the incremental plan processes only dirty balls, so the ball counters differ
+/// design: a maintained apply processes only dirty balls, so the ball counters differ
 /// from a full pass — that difference is the feature.
 fn assert_same_rows(a: &MatchOutput, b: &MatchOutput, context: &str) -> Result<(), String> {
     prop_assert!(
@@ -54,7 +58,7 @@ fn assert_same_rows(a: &MatchOutput, b: &MatchOutput, context: &str) -> Result<(
     Ok(())
 }
 
-/// The oracle-matrix shapes the update axis is composed with: the other engine axes
+/// The oracle-matrix shapes maintained matching is composed with: the other engine axes
 /// pinned at their defaults, each flipped to its oracle, the full seed shape, and the
 /// paper-level toggles (dedup, radius override) that interact with row splicing.
 fn config_matrix() -> Vec<(&'static str, MatchConfig)> {
@@ -69,13 +73,7 @@ fn config_matrix() -> Vec<(&'static str, MatchConfig)> {
             "full-substrate",
             MatchConfig::optimized().with_ball_substrate(BallSubstrate::FullGraph),
         ),
-        (
-            "seed-shape",
-            MatchConfig {
-                update_plan: UpdatePlan::Incremental,
-                ..MatchConfig::seed_reference()
-            },
-        ),
+        ("seed-shape", MatchConfig::seed_reference()),
         ("sequential", MatchConfig::optimized().sequential()),
         ("threads-3", MatchConfig::basic().with_thread_limit(3)),
         ("dedup", MatchConfig::optimized().with_deduplication()),
@@ -128,7 +126,7 @@ proptest! {
     }
 
     /// Match layer, pinned axes: along a delta stream over the workload generators the
-    /// incremental session equals the recompute oracle and the one-shot matcher, for
+    /// maintained query equals the recompute oracle and the one-shot matcher, for
     /// every shape of the engine-oracle matrix.
     #[test]
     fn incremental_equals_recompute_across_the_matrix(
@@ -143,22 +141,23 @@ proptest! {
         let data = kind.generate(nodes, seed);
         let q = experiment_pattern(&data, pattern_nodes, seed ^ 0x9e3779b97f4a7c15);
         for (name, config) in config_matrix() {
-            let incremental_cfg = config.with_update_plan(UpdatePlan::Incremental);
-            let oracle_cfg = config.with_update_plan(UpdatePlan::Recompute);
-            let mut inc = IncrementalMatcher::new(&q, data.clone(), incremental_cfg);
-            let mut oracle = IncrementalMatcher::new(&q, data.clone(), oracle_cfg);
-            assert_same_rows(inc.output(), oracle.output(), &format!("{name}: initial"))?;
+            let mut inc = QueryService::new(data.clone());
+            let id = inc.register(&q, config);
+            let mut flat = data.clone();
+            let oracle = strong_simulation(&q, &flat, &config);
+            assert_same_rows(inc.output(id).unwrap(), &oracle, &format!("{name}: initial"))?;
             for (i, picks) in stream.iter().enumerate() {
-                let delta = random_delta(&inc.data(), picks);
+                let delta = random_delta(&flat, picks);
                 inc.apply(&delta).expect("delta validates");
-                oracle.apply(&delta).expect("delta validates");
+                flat = flat.apply_delta(&delta).expect("delta validates");
+                let oracle = strong_simulation(&q, &flat, &config);
                 assert_same_rows(
-                    inc.output(),
-                    oracle.output(),
+                    inc.output(id).unwrap(),
+                    &oracle,
                     &format!("{name}: step {i} ({} ops)", delta.op_count()),
                 )?;
                 // The dirty/clean split covers the graph exactly.
-                let up = inc.last_update();
+                let up = inc.last_update(id).unwrap();
                 prop_assert!(
                     up.dirty_balls + up.clean_balls == inc.data().node_count(),
                     "{}: step {}: dirty {} + clean {} != |V|",
@@ -168,9 +167,10 @@ proptest! {
                     up.clean_balls
                 );
             }
-            // One-shot cross-check on the final graph (bit-identical rows again).
-            let oneshot = strong_simulation(&q, &inc.data(), &incremental_cfg);
-            assert_same_rows(inc.output(), &oneshot, &format!("{name}: vs one-shot"))?;
+            // One-shot cross-check on the service's own final graph (bit-identical rows
+            // again).
+            let oneshot = strong_simulation(&q, &inc.data(), &config);
+            assert_same_rows(inc.output(id).unwrap(), &oneshot, &format!("{name}: vs one-shot"))?;
         }
     }
 
@@ -205,26 +205,23 @@ proptest! {
                 ball_substrate: substrate,
                 ..DistributedConfig::default()
             };
-            let mut inc = IncrementalDistributed::new(&q, data.clone(), base)
-                .expect("valid distributed config");
-            let mut oracle = IncrementalDistributed::new(
-                &q,
-                data.clone(),
-                DistributedConfig { update_plan: UpdatePlan::Recompute, ..base },
-            )
-            .expect("valid distributed config");
+            let mut inc = DistributedQueryService::with_executor(data.clone(), Partitioned);
+            let id = inc.try_register(&q, base).expect("valid distributed config");
+            let mut flat = data.clone();
             for (i, picks) in stream.iter().enumerate() {
-                let delta = random_delta(&inc.data(), picks);
+                let delta = random_delta(&flat, picks);
                 inc.apply(&delta).expect("delta validates");
-                oracle.apply(&delta).expect("delta validates");
+                flat = flat.apply_delta(&delta).expect("delta validates");
+                let oracle = distributed_strong_simulation(&q, &flat, &base)
+                    .expect("valid distributed config");
                 let ctx = format!(
                     "sites={sites} {strategy:?} dual={dual_filter} {substrate:?} step {i}"
                 );
                 prop_assert!(
-                    inc.output().subgraphs == oracle.output().subgraphs,
+                    inc.output(id).unwrap().subgraphs == oracle.subgraphs,
                     "{}: distributed rows diverged", ctx
                 );
-                let traffic = &inc.output().traffic;
+                let traffic = &inc.output(id).unwrap().traffic;
                 prop_assert!(
                     traffic.dirty_balls + traffic.clean_balls == inc.data().node_count(),
                     "{}: dirty {} + clean {} != |V|",
@@ -248,22 +245,24 @@ proptest! {
         let data = kind.generate(nodes, seed);
         let q = experiment_pattern(&data, pattern_nodes, seed ^ 0x9e3779b97f4a7c15);
         for config in [MatchConfig::basic(), MatchConfig::optimized()] {
-            let mut inc = IncrementalMatcher::new(&q, data.clone(), config);
-            let before = inc.output().clone();
+            let mut inc = QueryService::new(data.clone());
+            let id = inc.register(&q, config);
+            let before = inc.output(id).unwrap().clone();
             inc.apply(&GraphDelta::new()).expect("empty deltas validate");
-            assert_same_rows(&before, inc.output(), "empty delta")?;
-            prop_assert_eq!(inc.last_update().dirty_balls, 0);
-            prop_assert_eq!(inc.last_update().clean_balls, data.node_count());
-            prop_assert_eq!(inc.last_update().pairs_gained, 0);
-            prop_assert_eq!(inc.last_update().pairs_lost, 0);
+            assert_same_rows(&before, inc.output(id).unwrap(), "empty delta")?;
+            let up = inc.last_update(id).unwrap();
+            prop_assert_eq!(up.dirty_balls, 0);
+            prop_assert_eq!(up.clean_balls, data.node_count());
+            prop_assert_eq!(up.pairs_gained, 0);
+            prop_assert_eq!(up.pairs_lost, 0);
         }
     }
 
     /// Batch parity: `apply_batch` over a delta stream equals the same deltas applied
-    /// one by one — identical rows and identical final graph — across both update plans
-    /// (splice path included via dedup), sequential and distributed. Plus the
-    /// contractual edges: an empty batch is a no-op and a single-delta batch equals
-    /// `apply`.
+    /// one by one — identical rows and identical final graph — and the recompute oracle
+    /// on the independently evolved graph (splice path included via dedup), sequential
+    /// and distributed. Plus the contractual edges: an empty batch is a no-op and a
+    /// single-delta batch equals `apply`.
     #[test]
     fn apply_batch_equals_sequential_applies(
         seed in any::<u64>(),
@@ -290,60 +289,69 @@ proptest! {
             ("optimized", MatchConfig::optimized()),
             ("dedup", MatchConfig::optimized().with_deduplication()),
         ] {
-            for plan in [UpdatePlan::Incremental, UpdatePlan::Recompute] {
-                let cfg = config.with_update_plan(plan);
-                let mut batch = IncrementalMatcher::new(&q, data.clone(), cfg);
-                let mut seq = IncrementalMatcher::new(&q, data.clone(), cfg);
-                for d in &deltas {
-                    seq.apply(d).expect("delta validates in sequence");
-                }
-                batch.apply_batch(&deltas).expect("staged stream validates");
-                let ctx = format!("{name} {plan:?}");
-                assert_same_rows(batch.output(), seq.output(), &format!("{ctx}: batch"))?;
-                prop_assert!(batch.data() == seq.data(), "{ctx}: final graphs differ");
-                // Empty batch: a no-op that touches nothing.
-                let before = batch.output().clone();
-                batch.apply_batch(&[]).expect("empty batch");
-                assert_same_rows(&before, batch.output(), &format!("{ctx}: empty batch"))?;
-                // Single-delta batch == plain apply, bit for bit including stats.
-                let mut via_batch = IncrementalMatcher::new(&q, data.clone(), cfg);
-                let mut via_apply = IncrementalMatcher::new(&q, data.clone(), cfg);
-                via_batch.apply_batch(&deltas[..1]).expect("delta validates");
-                via_apply.apply(&deltas[0]).expect("delta validates");
-                common::assert_bit_identical(
-                    via_batch.output(),
-                    via_apply.output(),
-                    &format!("{ctx}: single-delta batch"),
-                )?;
-                prop_assert!(
-                    via_batch.last_update() == via_apply.last_update(),
-                    "{ctx}: single-delta batch update stats differ"
-                );
-            }
-        }
-        // Distributed: same parity through the coordinator, both plans.
-        for plan in [UpdatePlan::Incremental, UpdatePlan::Recompute] {
-            let cfg = DistributedConfig {
-                sites: 3,
-                strategy: PartitionStrategy::Range,
-                minimize_query: false,
-                update_plan: plan,
-                ..DistributedConfig::default()
-            };
-            let mut batch = IncrementalDistributed::new(&q, data.clone(), cfg)
-                .expect("valid distributed config");
-            let mut seq = IncrementalDistributed::new(&q, data.clone(), cfg)
-                .expect("valid distributed config");
+            let mut batch = QueryService::new(data.clone());
+            let id_b = batch.register(&q, config);
+            let mut seq = QueryService::new(data.clone());
+            let id_s = seq.register(&q, config);
             for d in &deltas {
                 seq.apply(d).expect("delta validates in sequence");
             }
             batch.apply_batch(&deltas).expect("staged stream validates");
+            let ctx = name;
+            let batch_rows = batch.output(id_b).unwrap();
+            assert_same_rows(batch_rows, seq.output(id_s).unwrap(), &format!("{ctx}: batch"))?;
+            prop_assert!(batch.data() == seq.data(), "{ctx}: final graphs differ");
+            // The recompute oracle on the independently evolved graph.
+            let oracle = strong_simulation(&q, &evolved, &config);
+            assert_same_rows(batch_rows, &oracle, &format!("{ctx}: batch vs recompute"))?;
+            // Empty batch: a no-op that touches nothing.
+            let before = batch_rows.clone();
+            batch.apply_batch(&[]).expect("empty batch");
+            assert_same_rows(&before, batch.output(id_b).unwrap(), &format!("{ctx}: empty batch"))?;
+            // Single-delta batch == plain apply, bit for bit including stats.
+            let mut via_batch = QueryService::new(data.clone());
+            let id_vb = via_batch.register(&q, config);
+            let mut via_apply = QueryService::new(data.clone());
+            let id_va = via_apply.register(&q, config);
+            via_batch.apply_batch(&deltas[..1]).expect("delta validates");
+            via_apply.apply(&deltas[0]).expect("delta validates");
+            common::assert_bit_identical(
+                via_batch.output(id_vb).unwrap(),
+                via_apply.output(id_va).unwrap(),
+                &format!("{ctx}: single-delta batch"),
+            )?;
             prop_assert!(
-                batch.output().subgraphs == seq.output().subgraphs,
-                "distributed {plan:?}: batch rows diverged"
+                via_batch.last_update(id_vb) == via_apply.last_update(id_va),
+                "{ctx}: single-delta batch update stats differ"
             );
-            prop_assert!(batch.data() == seq.data(), "distributed {plan:?}: graphs differ");
         }
+        // Distributed: same parity through the coordinator, and the distributed
+        // recompute oracle on the evolved graph.
+        let cfg = DistributedConfig {
+            sites: 3,
+            strategy: PartitionStrategy::Range,
+            minimize_query: false,
+            ..DistributedConfig::default()
+        };
+        let mut batch = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let id_b = batch.try_register(&q, cfg).expect("valid distributed config");
+        let mut seq = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let id_s = seq.try_register(&q, cfg).expect("valid distributed config");
+        for d in &deltas {
+            seq.apply(d).expect("delta validates in sequence");
+        }
+        batch.apply_batch(&deltas).expect("staged stream validates");
+        prop_assert!(
+            batch.output(id_b).unwrap().subgraphs == seq.output(id_s).unwrap().subgraphs,
+            "distributed: batch rows diverged"
+        );
+        prop_assert!(batch.data() == seq.data(), "distributed: graphs differ");
+        let oracle =
+            distributed_strong_simulation(&q, &evolved, &cfg).expect("valid distributed config");
+        prop_assert!(
+            batch.output(id_b).unwrap().subgraphs == oracle.subgraphs,
+            "distributed: batch rows diverged from the recompute oracle"
+        );
     }
 
     /// Delete-then-reinsert round-trips: applying a deletion batch and then its inverse
@@ -362,13 +370,14 @@ proptest! {
         // Deletions only: force every pick odd.
         let dels: Vec<u64> = picks.iter().map(|p| p | 1).collect();
         for config in [MatchConfig::basic(), MatchConfig::optimized()] {
-            let mut inc = IncrementalMatcher::new(&q, data.clone(), config);
-            let before = inc.output().clone();
-            let delta = random_delta(&inc.data(), &dels);
+            let mut inc = QueryService::new(data.clone());
+            let id = inc.register(&q, config);
+            let before = inc.output(id).unwrap().clone();
+            let delta = random_delta(&data, &dels);
             inc.apply(&delta).expect("delta validates");
             inc.apply(&delta.inverse()).expect("inverse validates");
             prop_assert!(inc.data() == data, "graph round-trips");
-            assert_same_rows(&before, inc.output(), "delete-then-reinsert")?;
+            assert_same_rows(&before, inc.output(id).unwrap(), "delete-then-reinsert")?;
         }
     }
 }
@@ -400,24 +409,28 @@ mod apply_batch_label_pins {
         d2.delete_edge_labeled(NodeId(2), NodeId(0), Label(2), Label(0));
         // Sanity: the net effect cancels, and d2 alone is invalid at the start.
         assert!(data.clone().apply_delta(&d2).is_err());
-        for plan in [UpdatePlan::Incremental, UpdatePlan::Recompute] {
-            for config in [MatchConfig::basic(), MatchConfig::optimized()] {
-                let cfg = config.with_update_plan(plan);
-                let mut batch = IncrementalMatcher::new(&q, data.clone(), cfg);
-                let mut seq = IncrementalMatcher::new(&q, data.clone(), cfg);
-                seq.apply(&d1).unwrap();
-                seq.apply(&d2).unwrap();
-                batch
-                    .apply_batch(&[d1.clone(), d2.clone()])
-                    .expect("the staged stream validates at every position");
-                assert_eq!(batch.data(), seq.data(), "{plan:?}: final graphs");
-                assert_eq!(batch.data(), data, "the batch nets out to a no-op");
-                assert_eq!(
-                    batch.output().subgraphs,
-                    seq.output().subgraphs,
-                    "{plan:?}: rows"
-                );
-            }
+        // The recompute oracle chains the stream onto a flat graph.
+        let flat = data.apply_delta(&d1).unwrap().apply_delta(&d2).unwrap();
+        for config in [MatchConfig::basic(), MatchConfig::optimized()] {
+            let mut batch = QueryService::new(data.clone());
+            let id_b = batch.register(&q, config);
+            let mut seq = QueryService::new(data.clone());
+            let id_s = seq.register(&q, config);
+            seq.apply(&d1).unwrap();
+            seq.apply(&d2).unwrap();
+            batch
+                .apply_batch(&[d1.clone(), d2.clone()])
+                .expect("the staged stream validates at every position");
+            assert_eq!(batch.data(), seq.data(), "final graphs");
+            assert_eq!(batch.data(), data, "the batch nets out to a no-op");
+            assert_eq!(flat, data, "the recomputed chain nets out to a no-op");
+            let rows = &batch.output(id_b).unwrap().subgraphs;
+            assert_eq!(rows, &seq.output(id_s).unwrap().subgraphs, "rows");
+            assert_eq!(
+                rows,
+                &strong_simulation(&q, &flat, &config).subgraphs,
+                "rows vs recompute"
+            );
         }
     }
 
@@ -430,26 +443,29 @@ mod apply_batch_label_pins {
         d1.delete_edge_labeled(NodeId(0), NodeId(1), Label(0), Label(1));
         let mut d2 = GraphDelta::new();
         d2.insert_edge(NodeId(0), NodeId(1));
-        for plan in [UpdatePlan::Incremental, UpdatePlan::Recompute] {
-            let cfg = MatchConfig::optimized().with_update_plan(plan);
-            let mut batch = IncrementalMatcher::new(&q, data.clone(), cfg);
-            let mut seq = IncrementalMatcher::new(&q, data.clone(), cfg);
-            let before = batch.output().clone();
-            seq.apply(&d1).unwrap();
-            seq.apply(&d2).unwrap();
-            batch.apply_batch(&[d1.clone(), d2.clone()]).unwrap();
-            assert_eq!(batch.data(), seq.data(), "{plan:?}: final graphs");
-            assert_eq!(batch.output().subgraphs, seq.output().subgraphs, "{plan:?}");
-            assert_eq!(
-                batch.output().subgraphs,
-                before.subgraphs,
-                "{plan:?}: net no-op restores the original rows"
-            );
-        }
+        let cfg = MatchConfig::optimized();
+        let mut batch = QueryService::new(data.clone());
+        let id_b = batch.register(&q, cfg);
+        let mut seq = QueryService::new(data.clone());
+        let id_s = seq.register(&q, cfg);
+        let before = batch.output(id_b).unwrap().clone();
+        seq.apply(&d1).unwrap();
+        seq.apply(&d2).unwrap();
+        batch.apply_batch(&[d1.clone(), d2.clone()]).unwrap();
+        assert_eq!(batch.data(), seq.data(), "final graphs");
+        let rows = &batch.output(id_b).unwrap().subgraphs;
+        assert_eq!(rows, &seq.output(id_s).unwrap().subgraphs);
+        assert_eq!(
+            rows, &before.subgraphs,
+            "net no-op restores the original rows"
+        );
+        // The recompute oracle on the flat chain agrees.
+        let flat = data.apply_delta(&d1).unwrap().apply_delta(&d2).unwrap();
+        assert_eq!(rows, &strong_simulation(&q, &flat, &cfg).subgraphs);
     }
 
     /// A mid-stream pin that is wrong at its own position must reject the whole batch
-    /// up front and leave the session untouched — graph, rows and update accounting.
+    /// up front and leave the service untouched — graph, rows and update accounting.
     #[test]
     fn mid_stream_invalid_pin_rejects_the_whole_batch() {
         let (q, data) = fixture();
@@ -458,45 +474,50 @@ mod apply_batch_label_pins {
         let mut bad = GraphDelta::new();
         // The edge exists after d1, but the target-label pin is wrong everywhere.
         bad.delete_edge_labeled(NodeId(2), NodeId(0), Label(2), Label(5));
-        for plan in [UpdatePlan::Incremental, UpdatePlan::Recompute] {
-            let cfg = MatchConfig::optimized().with_update_plan(plan);
-            let mut m = IncrementalMatcher::new(&q, data.clone(), cfg);
-            let before = m.output().clone();
-            let stats_before = m.last_update().clone();
-            assert!(
-                m.apply_batch(&[d1.clone(), bad.clone()]).is_err(),
-                "{plan:?}: the wrong pin must fail staging"
-            );
-            assert_eq!(m.data(), data, "{plan:?}: graph untouched");
-            assert_eq!(
-                m.output().subgraphs,
-                before.subgraphs,
-                "{plan:?}: rows untouched"
-            );
-            assert_eq!(
-                m.last_update(),
-                &stats_before,
-                "{plan:?}: accounting untouched"
-            );
-            // The distributed session folds batches through its own service.
-            let dcfg = DistributedConfig {
-                sites: 2,
-                update_plan: plan,
-                ..DistributedConfig::default()
-            };
-            let mut d = IncrementalDistributed::new(&q, data.clone(), dcfg).expect("valid config");
-            let before = d.output().subgraphs.clone();
-            assert!(
-                d.apply_batch(&[d1.clone(), bad.clone()]).is_err(),
-                "{plan:?}: the wrong pin must fail the distributed batch"
-            );
-            assert_eq!(d.data(), data, "{plan:?}: distributed graph untouched");
-            assert_eq!(
-                d.output().subgraphs,
-                before,
-                "{plan:?}: distributed rows untouched"
-            );
-        }
+        // The flat chain rejects the pin at its position too.
+        let after_d1 = data.apply_delta(&d1).unwrap();
+        assert!(
+            after_d1.apply_delta(&bad).is_err(),
+            "the pin is wrong mid-stream"
+        );
+        let cfg = MatchConfig::optimized();
+        let mut m = QueryService::new(data.clone());
+        let id = m.register(&q, cfg);
+        let before = m.output(id).unwrap().clone();
+        let stats_before = m.last_update(id).unwrap().clone();
+        assert!(
+            m.apply_batch(&[d1.clone(), bad.clone()]).is_err(),
+            "the wrong pin must fail staging"
+        );
+        assert_eq!(m.data(), data, "graph untouched");
+        assert_eq!(
+            m.output(id).unwrap().subgraphs,
+            before.subgraphs,
+            "rows untouched"
+        );
+        assert_eq!(
+            m.last_update(id).unwrap(),
+            &stats_before,
+            "accounting untouched"
+        );
+        // The distributed service folds batches through the same apply.
+        let dcfg = DistributedConfig {
+            sites: 2,
+            ..DistributedConfig::default()
+        };
+        let mut d = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let id = d.try_register(&q, dcfg).expect("valid config");
+        let before = d.output(id).unwrap().subgraphs.clone();
+        assert!(
+            d.apply_batch(&[d1.clone(), bad.clone()]).is_err(),
+            "the wrong pin must fail the distributed batch"
+        );
+        assert_eq!(d.data(), data, "distributed graph untouched");
+        assert_eq!(
+            d.output(id).unwrap().subgraphs,
+            before,
+            "distributed rows untouched"
+        );
     }
 }
 
@@ -516,13 +537,14 @@ mod gm_edge_cases {
         assert_eq!(out.stats.gm_nodes, 0);
         assert_eq!(out.stats.gm_edges, 0);
         assert_eq!(out.stats.balls_skipped, data.node_count());
-        // The incremental session agrees and keeps agreeing over a delta.
-        let mut inc = IncrementalMatcher::new(&pattern, data.clone(), MatchConfig::optimized());
-        assert!(inc.output().subgraphs.is_empty());
+        // The maintained query agrees and keeps agreeing over a delta.
+        let mut inc = QueryService::new(data.clone());
+        let id = inc.register(&pattern, MatchConfig::optimized());
+        assert!(inc.output(id).unwrap().subgraphs.is_empty());
         let mut delta = GraphDelta::new();
         delta.insert_edge(NodeId(2), NodeId(0));
         inc.apply(&delta).unwrap();
-        assert!(inc.output().subgraphs.is_empty());
+        assert!(inc.output(id).unwrap().subgraphs.is_empty());
     }
 
     /// All-matched: every data node survives the dual filter, so `Gm == G` and the
@@ -577,29 +599,33 @@ mod gm_edge_cases {
         let pattern = Pattern::from_edges(vec![Label(0), Label(1)], &[(0, 1)]).unwrap();
         let data =
             Graph::from_edges(vec![Label(0), Label(1), Label(2)], &[(0, 1), (1, 2)]).unwrap();
-        let mut inc = IncrementalMatcher::new(&pattern, data, MatchConfig::optimized());
-        let before = inc.output().clone();
-        assert!(inc.output().is_match());
-        assert_eq!(inc.output().stats.gm_nodes, 2);
+        let mut inc = QueryService::new(data.clone());
+        let id = inc.register(&pattern, MatchConfig::optimized());
+        let before = inc.output(id).unwrap().clone();
+        assert!(before.is_match());
+        assert_eq!(before.stats.gm_nodes, 2);
         let mut kill = GraphDelta::new();
         kill.delete_edge(NodeId(0), NodeId(1));
         inc.apply(&kill).unwrap();
-        assert!(!inc.output().is_match(), "the only match is gone");
-        assert!(inc.output().subgraphs.is_empty());
-        assert_eq!(inc.output().stats.gm_nodes, 0, "Gm emptied");
-        assert_eq!(inc.last_update().pairs_lost, 2);
+        let emptied = inc.output(id).unwrap();
+        assert!(!emptied.is_match(), "the only match is gone");
+        assert!(emptied.subgraphs.is_empty());
+        assert_eq!(emptied.stats.gm_nodes, 0, "Gm emptied");
+        assert_eq!(inc.last_update(id).unwrap().pairs_lost, 2);
         // The oracle agrees on the emptied graph.
-        let oneshot = strong_simulation(&pattern, &inc.data(), &MatchConfig::optimized());
+        let flat = data.apply_delta(&kill).unwrap();
+        let oneshot = strong_simulation(&pattern, &flat, &MatchConfig::optimized());
         assert!(oneshot.subgraphs.is_empty());
         // Round-trip: reinsertion restores the original output.
         inc.apply(&kill.inverse()).unwrap();
-        assert_eq!(inc.output().subgraphs.len(), before.subgraphs.len());
-        for (a, b) in inc.output().subgraphs.iter().zip(&before.subgraphs) {
+        let restored = inc.output(id).unwrap();
+        assert_eq!(restored.subgraphs.len(), before.subgraphs.len());
+        for (a, b) in restored.subgraphs.iter().zip(&before.subgraphs) {
             assert_eq!(a.center, b.center);
             assert_eq!(a.nodes, b.nodes);
             assert_eq!(a.edges, b.edges);
             assert_eq!(a.relation, b.relation);
         }
-        assert_eq!(inc.output().stats.gm_nodes, 2, "Gm restored");
+        assert_eq!(restored.stats.gm_nodes, 2, "Gm restored");
     }
 }

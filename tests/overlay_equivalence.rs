@@ -16,10 +16,10 @@
 //!   reading the version they pinned (even across a later compaction of the published
 //!   overlay), staging never leaks into the published view, and publication advances
 //!   the epoch by exactly the staged applies;
-//! * **match layer** — an [`IncrementalMatcher`] session (whose state lives on the
-//!   overlay) and its batched [`IncrementalMatcher::apply_batch`] entry stay
-//!   bit-identical to the recompute oracle and a one-shot [`strong_simulation`] on the
-//!   rebuilt flat graph, sequentially, in parallel and distributed. Compaction
+//! * **match layer** — a one-query [`QueryService`] (whose state lives on the overlay)
+//!   and its batched [`QueryService::apply_batch`] entry stay bit-identical to the
+//!   recompute oracle — a one-shot [`strong_simulation`] on the rebuilt flat graph —
+//!   sequentially, in parallel and distributed. Compaction
 //!   transparency for the matcher follows from the substrate layer: a compacted overlay
 //!   is indistinguishable through every accessor the engine uses.
 //!
@@ -33,10 +33,12 @@ mod common;
 
 use common::{data_graph, random_delta};
 use proptest::prelude::*;
-use ssim_core::incremental::IncrementalMatcher;
+use ssim_core::service::QueryService;
 use ssim_core::strong::{strong_simulation, MatchConfig};
-use ssim_core::UpdatePlan;
-use ssim_distributed::{DistributedConfig, IncrementalDistributed, PartitionStrategy};
+use ssim_distributed::{
+    distributed_strong_simulation, DistributedConfig, DistributedQueryService, PartitionStrategy,
+    Partitioned,
+};
 use ssim_experiments::workloads::{experiment_pattern, DatasetKind};
 use ssim_graph::{
     CompactionPolicy, Graph, GraphDelta, GraphError, Label, NodeId, OverlayGraph, VersionedGraph,
@@ -213,9 +215,9 @@ proptest! {
         }
     }
 
-    /// Match layer: an incremental session over the overlay substrate — fed per-delta
-    /// and in batches — stays bit-identical to the recompute oracle and a one-shot
-    /// matcher on the rebuilt flat graph, sequentially, in parallel and distributed.
+    /// Match layer: a maintained query over the overlay substrate — fed per-delta and
+    /// in batches — stays bit-identical to the recompute oracle, a one-shot matcher on
+    /// the rebuilt flat graph, sequentially, in parallel and distributed.
     #[test]
     fn matcher_identity_over_overlay_streams(
         seed in any::<u64>(),
@@ -232,34 +234,27 @@ proptest! {
             ("parallel", MatchConfig::basic()),
             ("optimized", MatchConfig::optimized()),
         ] {
-            let mut inc = IncrementalMatcher::new(
-                &q, data.clone(), config.with_update_plan(UpdatePlan::Incremental));
-            let mut batched = IncrementalMatcher::new(
-                &q, data.clone(), config.with_update_plan(UpdatePlan::Incremental));
-            let mut oracle = IncrementalMatcher::new(
-                &q, data.clone(), config.with_update_plan(UpdatePlan::Recompute));
+            let mut inc = QueryService::new(data.clone());
+            let id = inc.register(&q, config);
+            let mut batched = QueryService::new(data.clone());
+            let id_b = batched.register(&q, config);
             let mut deltas = Vec::new();
             let mut flat = data.clone();
             for picks in &stream {
                 let delta = random_delta(&flat, picks);
                 flat = flat.apply_delta(&delta).expect("random_delta validates");
                 inc.apply(&delta).expect("delta validates");
-                oracle.apply(&delta).expect("delta validates");
                 deltas.push(delta);
             }
             batched.apply_batch(&deltas).expect("batch validates");
-            let oneshot = strong_simulation(&q, &flat, &config);
+            let oracle = strong_simulation(&q, &flat, &config);
             prop_assert!(
-                inc.output().subgraphs == oracle.output().subgraphs,
-                "{name}: per-delta session diverged from the oracle"
+                inc.output(id).unwrap().subgraphs == oracle.subgraphs,
+                "{name}: per-delta query diverged from the oracle"
             );
             prop_assert!(
-                batched.output().subgraphs == oracle.output().subgraphs,
-                "{name}: batched session diverged from the oracle"
-            );
-            prop_assert!(
-                inc.output().subgraphs == oneshot.subgraphs,
-                "{name}: session diverged from the one-shot matcher"
+                batched.output(id_b).unwrap().subgraphs == oracle.subgraphs,
+                "{name}: batched query diverged from the oracle"
             );
             prop_assert!(inc.data() == flat, "{name}: overlay drifted from the flat chain");
             prop_assert!(batched.data() == flat, "{name}: batched overlay drifted");
@@ -271,23 +266,18 @@ proptest! {
             minimize_query: false,
             ..DistributedConfig::default()
         };
-        let mut inc = IncrementalDistributed::new(&q, data.clone(), base)
-            .expect("valid distributed config");
-        let mut oracle = IncrementalDistributed::new(
-            &q,
-            data.clone(),
-            DistributedConfig { update_plan: UpdatePlan::Recompute, ..base },
-        )
-        .expect("valid distributed config");
+        let mut inc = DistributedQueryService::with_executor(data.clone(), Partitioned);
+        let id = inc.try_register(&q, base).expect("valid distributed config");
         let mut flat = data;
         for picks in &stream {
             let delta = random_delta(&flat, picks);
             flat = flat.apply_delta(&delta).expect("random_delta validates");
             inc.apply(&delta).expect("delta validates");
-            oracle.apply(&delta).expect("delta validates");
+            let oracle =
+                distributed_strong_simulation(&q, &flat, &base).expect("valid distributed config");
             prop_assert!(
-                inc.output().subgraphs == oracle.output().subgraphs,
-                "distributed session diverged from the oracle"
+                inc.output(id).unwrap().subgraphs == oracle.subgraphs,
+                "distributed query diverged from the oracle"
             );
         }
         prop_assert!(inc.data() == flat, "distributed overlay drifted from the flat chain");

@@ -1,14 +1,14 @@
 //! Differential properties of the label-repetition semantics
-//! ([`ssim_core::RepetitionSemantics`]) — the fourth oracle axis.
+//! ([`ssim_core::RepetitionSemantics`]) — the third oracle axis.
 //!
 //! Strong simulation's maximum relation deliberately ignores how many pattern nodes
 //! share a label; `Distinct`/`Equal` constrain equal-labelled pattern nodes to distinct
 //! (resp. one) data node(s) per match witness. Like every prior axis the semantics is
 //! implemented twice — the integrated witness-closure threaded through the engine and a
 //! naive per-pair oracle — and the two must be *bit-identical* at every point of the
-//! four-axis oracle matrix: `RefineStrategy` × `BallSubstrate` × `UpdatePlan` ×
-//! `RepetitionSemantics`, sequential, parallel and distributed, before and after a
-//! `GraphDelta`. The shared driver lives in
+//! three-axis oracle matrix: `RefineStrategy` × `BallSubstrate` × `RepetitionSemantics`,
+//! sequential, parallel and distributed, one-shot and maintained by a `QueryService`,
+//! before and after a `GraphDelta`. The shared driver lives in
 //! `tests/common/` ([`common::check_matrix_point`]).
 //!
 //! The budget/bail contract is pinned too: when the product of candidate-set sizes over
@@ -27,10 +27,10 @@ use ssim_graph::{Graph, GraphDelta, Label, Pattern};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The headline property: at a random point of the four-axis matrix, the integrated
+    /// The headline property: at a random point of the three-axis matrix, the integrated
     /// repetition path and the naive per-ball oracle return bit-identical
-    /// `MatchOutput`s — one-shot, through incremental sessions across a random delta
-    /// (both update plans), and through the distributed runtime.
+    /// `MatchOutput`s — one-shot before and after a random delta, maintained across it
+    /// by a `QueryService`, and through the distributed runtime.
     #[test]
     fn integrated_and_naive_oracle_agree_across_the_matrix(
         data in common::data_graph(),

@@ -3,22 +3,22 @@
 //!
 //! The service's whole premise is that shared work is *pure* — the edge-ball sweeps,
 //! the flat materialisation and the region extractions it shares across registered
-//! patterns are values every private [`IncrementalMatcher`] session would compute for
-//! itself — so sharing must be observationally invisible. The independent-sessions
-//! oracle pins exactly that: after every delta, every registered query's `MatchOutput`
-//! (rows AND stats) and `UpdateStats` must be bit-identical to a private
-//! `IncrementalMatcher` constructed on the same initial graph with the same
-//! configuration and fed the same deltas. On top of the differential core:
+//! patterns are values every one-query service would compute for itself — so sharing
+//! must be observationally invisible. The independent-sessions oracle pins exactly
+//! that: after every delta, every registered query's `MatchOutput` (rows AND stats) and
+//! `UpdateStats` must be bit-identical to a service holding that query alone,
+//! constructed on the same initial graph with the same configuration and fed the same
+//! deltas. On top of the differential core:
 //!
 //! * **registry lifecycle** — queries registered mid-stream start from the current
-//!   graph (their oracle is a fresh private session on it); deregistered queries stop
+//!   graph (their oracle is a fresh one-query service on it); deregistered queries stop
 //!   being updated without disturbing the rest;
 //! * **batch parity** — `QueryService::apply_batch` equals the same deltas applied one
 //!   by one, per query (rows), sequential and distributed;
 //! * **sharing accounting** — same-radius full-graph-sweep patterns collapse to one
 //!   sweep per radius, and the shared substrate cache reports real reuse;
-//! * **distributed twin** — `DistributedQueryService` tracks independent
-//!   `IncrementalDistributed` sessions row for row;
+//! * **distributed twin** — `DistributedQueryService` tracks independent one-query
+//!   distributed services row for row;
 //! * **two executors** — the same queries on the local and the partitioned executor
 //!   hold equal rows along a delta stream, through a degraded apply and its healing.
 
@@ -26,14 +26,11 @@ mod common;
 
 use common::{assert_bit_identical, expand_classes, random_delta};
 use proptest::prelude::*;
-use ssim_core::incremental::IncrementalMatcher;
 use ssim_core::service::{PatternBuilder, QueryId, QueryService};
 use ssim_core::strong::{strong_simulation, MatchConfig};
-use ssim_core::UpdatePlan;
 use ssim_distributed::service::{DistributedQueryService, Partitioned};
 use ssim_distributed::{
-    distributed_strong_simulation, DistributedConfig, FaultPlan, IncrementalDistributed,
-    PartitionStrategy, RecoveryPolicy,
+    distributed_strong_simulation, DistributedConfig, FaultPlan, PartitionStrategy, RecoveryPolicy,
 };
 use ssim_experiments::workloads::{experiment_pattern, DatasetKind};
 use ssim_graph::{Label, NodeId, Pattern};
@@ -57,7 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The core differential property: a service with N standing queries tracks N
-    /// independent incremental sessions bit for bit — rows, match stats and update
+    /// independent one-query services bit for bit — rows, match stats and update
     /// accounting — along a random delta stream, for every registered query, across
     /// mixed configuration shapes.
     #[test]
@@ -72,7 +69,7 @@ proptest! {
         let kind = DatasetKind::all()[kind];
         let data = kind.generate(nodes, seed);
         let mut service = QueryService::new(data.clone());
-        let mut oracles: Vec<(QueryId, IncrementalMatcher)> = Vec::new();
+        let mut oracles: Vec<(QueryId, QueryService, QueryId)> = Vec::new();
         let mut queries: Vec<(Pattern, MatchConfig)> = Vec::new();
         for (i, &bits) in shapes.iter().enumerate() {
             let q = experiment_pattern(
@@ -82,17 +79,14 @@ proptest! {
             );
             let config = service_config(bits);
             let id = service.register(&q, config);
-            let oracle = IncrementalMatcher::new(
-                &q,
-                data.clone(),
-                config.with_update_plan(UpdatePlan::Incremental),
-            );
+            let mut oracle = QueryService::new(data.clone());
+            let sole = oracle.register(&q, config);
             assert_bit_identical(
                 service.output(id).unwrap(),
-                oracle.output(),
+                oracle.output(sole).unwrap(),
                 &format!("query {i}: initial"),
             )?;
-            oracles.push((id, oracle));
+            oracles.push((id, oracle, sole));
             queries.push((q, config));
         }
         let mut graph = data;
@@ -100,9 +94,9 @@ proptest! {
             let delta = random_delta(&graph, picks);
             graph = graph.apply_delta(&delta).expect("random_delta validates");
             let update = service.apply(&delta).expect("delta validates");
-            // The private session above runs the service's own code, so the one-shot
+            // The one-query services above run the service's own code, so the one-shot
             // matcher keeps the contract independent.
-            for (i, ((id, _), (q, config))) in oracles.iter().zip(&queries).enumerate() {
+            for (i, ((id, ..), (q, config))) in oracles.iter().zip(&queries).enumerate() {
                 prop_assert!(
                     service.output(*id).unwrap().subgraphs
                         == strong_simulation(q, &graph, config).subgraphs,
@@ -110,17 +104,17 @@ proptest! {
                 );
             }
             prop_assert_eq!(update.queries.len(), oracles.len());
-            for (i, (id, oracle)) in oracles.iter_mut().enumerate() {
+            for (i, (id, oracle, sole)) in oracles.iter_mut().enumerate() {
                 oracle.apply(&delta).expect("delta validates");
                 assert_bit_identical(
                     service.output(*id).unwrap(),
-                    oracle.output(),
+                    oracle.output(*sole).unwrap(),
                     &format!("query {i}: step {step}"),
                 )?;
                 prop_assert!(
-                    service.last_update(*id).unwrap() == oracle.last_update(),
+                    service.last_update(*id) == oracle.last_update(*sole),
                     "query {}: step {}: update stats {:?} vs {:?}",
-                    i, step, service.last_update(*id).unwrap(), oracle.last_update()
+                    i, step, service.last_update(*id).unwrap(), oracle.last_update(*sole)
                 );
             }
             prop_assert!(service.data() == graph, "step {}: substrate diverged", step);
@@ -128,7 +122,7 @@ proptest! {
     }
 
     /// Registry lifecycle under churn: a query registered mid-stream equals a fresh
-    /// private session on the current graph, deregistering stops updates for that id
+    /// one-query service on the current graph, deregistering stops updates for that id
     /// only, and the survivors keep tracking their oracles.
     #[test]
     fn mid_stream_registration_and_deregistration(
@@ -145,23 +139,30 @@ proptest! {
         let config = MatchConfig::optimized();
         let mut service = QueryService::new(data.clone());
         let a = service.register(&qa, config);
-        let mut oracle_a = IncrementalMatcher::new(&qa, data.clone(), config);
+        let mut oracle_a = QueryService::new(data.clone());
+        let sole_a = oracle_a.register(&qa, config);
 
         let d1 = random_delta(&data, &picks_a);
         let graph1 = data.apply_delta(&d1).expect("random_delta validates");
         service.apply(&d1).expect("delta validates");
         oracle_a.apply(&d1).expect("delta validates");
+        assert_bit_identical(
+            service.output(a).unwrap(),
+            oracle_a.output(sole_a).unwrap(),
+            "first query post-delta",
+        )?;
 
-        // Late registration: the new query's oracle is a fresh session on the
-        // *current* graph — including its initial full-pass accounting.
+        // Late registration: the new query's oracle is a fresh one-query service on
+        // the *current* graph — including its initial full-pass accounting.
         let b = service.register(&qb, config);
-        let mut oracle_b = IncrementalMatcher::new(&qb, graph1.clone(), config);
+        let mut oracle_b = QueryService::new(graph1.clone());
+        let sole_b = oracle_b.register(&qb, config);
         assert_bit_identical(
             service.output(b).unwrap(),
-            oracle_b.output(),
+            oracle_b.output(sole_b).unwrap(),
             "late registration",
         )?;
-        prop_assert!(service.last_update(b).unwrap() == oracle_b.last_update());
+        prop_assert!(service.last_update(b) == oracle_b.last_update(sole_b));
 
         // Deregister the first: its handle goes dark, the second keeps tracking.
         prop_assert!(service.deregister(a));
@@ -173,7 +174,7 @@ proptest! {
         prop_assert_eq!(update.queries[0].id, b);
         assert_bit_identical(
             service.output(b).unwrap(),
-            oracle_b.output(),
+            oracle_b.output(sole_b).unwrap(),
             "survivor post-churn",
         )?;
     }
@@ -232,8 +233,8 @@ proptest! {
         prop_assert!(update.queries.is_empty());
     }
 
-    /// Distributed twin: the distributed service tracks independent
-    /// `IncrementalDistributed` sessions row for row along a delta stream.
+    /// Distributed twin: the distributed service tracks independent one-query
+    /// distributed services row for row along a delta stream.
     #[test]
     fn distributed_service_tracks_independent_sessions(
         seed in any::<u64>(),
@@ -261,23 +262,24 @@ proptest! {
                 seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(i as u64 + 1)),
             );
             let id = service.try_register(&q, config).expect("valid config");
-            let oracle = IncrementalDistributed::new(&q, data.clone(), config)
-                .expect("valid config");
+            let mut oracle = DistributedQueryService::with_executor(data.clone(), Partitioned);
+            let sole = oracle.try_register(&q, config).expect("valid config");
             prop_assert!(
-                service.output(id).unwrap().subgraphs == oracle.output().subgraphs,
+                service.output(id).unwrap().subgraphs == oracle.output(sole).unwrap().subgraphs,
                 "query {}: initial distributed rows", i
             );
-            oracles.push((id, oracle, q));
+            oracles.push((id, oracle, sole, q));
         }
         let mut graph = data;
         for (step, picks) in stream.iter().enumerate() {
             let delta = random_delta(&graph, picks);
             graph = graph.apply_delta(&delta).expect("random_delta validates");
             service.apply(&delta).expect("delta validates");
-            for (i, (id, oracle, q)) in oracles.iter_mut().enumerate() {
+            for (i, (id, oracle, sole, q)) in oracles.iter_mut().enumerate() {
                 oracle.apply(&delta).expect("delta validates");
                 prop_assert!(
-                    service.output(*id).unwrap().subgraphs == oracle.output().subgraphs,
+                    service.output(*id).unwrap().subgraphs
+                        == oracle.output(*sole).unwrap().subgraphs,
                     "query {}: step {}: distributed rows diverged", i, step
                 );
                 let oneshot = distributed_strong_simulation(q, &graph, &config)
